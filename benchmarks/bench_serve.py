@@ -13,23 +13,46 @@ Three numbers pin the service's production story:
 - **Coalescing ratio**: N concurrent identical uncached queries must
   collapse onto one evaluation -- (N-1)/N of the requests deduped, and
   exactly one cache write per round.
+- **Lone-miss latency**: one uncached ``alltoall-model`` point through
+  :meth:`SweepService.point` (default batch window, sqlite cache)
+  against a direct scalar ``evaluate_point`` -- the window closes early
+  for a lone miss and a batch of one takes the scalar kernel.  The
+  target is <= 1.5x (measured 1.2-1.4x); the in-test ceiling is 2x so
+  host noise cannot fail a healthy build, and ``perf_gate.py`` tracks
+  the ratio against its baseline.
+- **Keep-alive hit latency**: a cache hit over the client's persistent
+  connection against one over a new TCP connection per request.  The
+  kept-alive hit must be faster and free of delayed-ACK stalls.
+- **Distinct-miss bursts**: N kept-alive clients released together,
+  each asking a different uncached point, at the default batch window.
+  The early-closing window must still merge a burst into few batched
+  solves; p50/p90 request latency and the mean batch size are recorded.
 
-The gated ``speedup`` is the served/direct throughput ratio; it is a
-same-machine ratio, so it transfers across runners.
+Each gated ``speedup`` is a same-machine ratio, so it transfers across
+runners: served/direct sweep throughput, scalar/served lone-miss time,
+and new-connection/kept-alive hit time.
 """
 
+import statistics
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.serve import Client, SweepService, make_server, serve_forever
 from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.evaluators import evaluate_point, evaluator_defaults
 from repro.sweep.spec import GridAxis
 
 _THROUGHPUT_FLOOR = 0.8
 _LATENCY_CEILING_S = 0.05
 _COALESCE_CLIENTS = 8
+_LONE_MISS_CEILING = 2.0
+_KEEPALIVE_FLOOR = 1.2
+_STALL_CEILING_S = 0.01
+_BURST_CLIENTS = 8
+_BURST_MIN_BATCH = 1.5
 
 
 def _grid_400() -> SweepSpec:
@@ -58,6 +81,7 @@ class _LiveServer:
         self.client = Client(f"http://{host}:{port}", timeout=120.0)
 
     def close(self) -> None:
+        self.client.close()
         self.server.shutdown()
         self.server.server_close()
         self.service.close()
@@ -187,4 +211,144 @@ def test_coalescing_ratio(benchmark, tmp_path):
     )
     assert coalesced == n - 1, (
         f"expected {n - 1} coalesced followers, counted {coalesced}"
+    )
+
+
+def test_lone_miss_latency(benchmark, tmp_path):
+    """A lone served miss costs about one scalar solve (target 1.5x)."""
+    base = {"P": 32, "St": 40.0, "So": 200.0, "C2": 0.0}
+    defaults = evaluator_defaults("alltoall-model")
+    fresh = (dict(base, W=1000.0 + 0.5 * i) for i in range(1 << 20))
+    service = SweepService(tmp_path / "cache.sqlite")
+    try:
+        service.point("alltoall-model", next(fresh))  # warm imports
+        scalar = served = float("inf")
+        # Interleaved, so host drift hits both sides alike; the minima
+        # of many rounds are each side's cost with the host's noise
+        # filtered out.
+        for _ in range(200):
+            task = ("alltoall-model", dict(defaults, **next(fresh)))
+            start = time.perf_counter()
+            evaluate_point(task)
+            scalar = min(scalar, time.perf_counter() - start)
+            params = next(fresh)
+            start = time.perf_counter()
+            outcome = service.point("alltoall-model", params)
+            served = min(served, time.perf_counter() - start)
+            assert outcome.cached is False
+        benchmark.pedantic(
+            service.point, setup=lambda: (("alltoall-model", next(fresh)),
+                                          {}),
+            rounds=30, iterations=1,
+        )
+        counters = service.metrics_snapshot()["counters"]
+    finally:
+        service.close()
+
+    ratio = served / scalar
+    benchmark.extra_info["scalar_ms"] = scalar * 1e3
+    benchmark.extra_info["served_miss_ms"] = served * 1e3
+    benchmark.extra_info["served_over_scalar"] = ratio
+    benchmark.extra_info["speedup"] = scalar / served
+    assert counters["serve.batch.requests"] == counters["serve.batch.solves"]
+    assert ratio <= _LONE_MISS_CEILING, (
+        f"lone served miss took {served * 1e3:.3f} ms, {ratio:.2f}x the "
+        f"{scalar * 1e3:.3f} ms scalar solve (ceiling "
+        f"{_LONE_MISS_CEILING}x)"
+    )
+
+
+def test_keepalive_hit_latency(benchmark, tmp_path):
+    """Kept-alive cache hits beat a new connection per request."""
+    live = _LiveServer(tmp_path / "cache.sqlite")
+    params = {"P": 32, "St": 40.0, "So": 200.0, "W": 1000.0}
+    kept, fresh = [], []
+    try:
+        live.client.point(scenario="alltoall", **params)
+        for _ in range(100):
+            start = time.perf_counter()
+            live.client.point(scenario="alltoall", **params)
+            kept.append(time.perf_counter() - start)
+            live.client.close()  # the next request dials anew
+            start = time.perf_counter()
+            live.client.point(scenario="alltoall", **params)
+            fresh.append(time.perf_counter() - start)
+        warm = benchmark(
+            lambda: live.client.point(scenario="alltoall", **params)
+        )
+    finally:
+        live.close()
+
+    assert warm.meta["cached"] is True
+    kept_ms = statistics.median(kept) * 1e3
+    fresh_ms = statistics.median(fresh) * 1e3
+    ratio = fresh_ms / kept_ms
+    benchmark.extra_info["keepalive_hit_ms"] = kept_ms
+    benchmark.extra_info["keepalive_hit_min_ms"] = min(kept) * 1e3
+    benchmark.extra_info["new_connection_hit_ms"] = fresh_ms
+    benchmark.extra_info["speedup"] = ratio
+    assert kept_ms < _STALL_CEILING_S * 1e3, (
+        f"kept-alive hit took {kept_ms:.2f} ms median: a reply stalling "
+        "on delayed ACK?"
+    )
+    assert ratio >= _KEEPALIVE_FLOOR, (
+        f"kept-alive hit {kept_ms:.3f} ms vs {fresh_ms:.3f} ms on a new "
+        f"connection: {ratio:.2f}x (floor {_KEEPALIVE_FLOOR}x)"
+    )
+
+
+def test_concurrent_distinct_misses(benchmark, tmp_path):
+    """Bursts of distinct misses still merge at the default window."""
+    n = _BURST_CLIENTS
+    live = _LiveServer(tmp_path / "cache.sqlite")
+    base = {"P": 32, "St": 40.0, "So": 200.0}
+    fresh = iter(range(1 << 20))
+    latencies, served = [], []
+    # Pool threads outlive the rounds, so each keeps its connection.
+    pool = ThreadPoolExecutor(max_workers=n)
+
+    def burst():
+        barrier = threading.Barrier(n)
+
+        def ask(w: float):
+            barrier.wait()
+            start = time.perf_counter()
+            solution = live.client.point(scenario="alltoall", W=w, **base)
+            latencies.append(time.perf_counter() - start)
+            return solution
+
+        ws = [1000.0 + next(fresh) for _ in range(n)]
+        served.extend(pool.map(ask, ws))
+
+    try:
+        burst()  # every pool thread opens its connection
+        latencies.clear()
+        served.clear()
+        before = live.service.metrics_snapshot()["counters"]
+        benchmark.pedantic(burst, rounds=40, iterations=1)
+        after = live.service.metrics_snapshot()["counters"]
+    finally:
+        pool.shutdown()
+        live.close()
+
+    for solution in served:
+        assert solution.meta["cached"] is False
+        direct = evaluate_point((solution.evaluator, solution.params))
+        assert solution.values == direct["values"]
+    requests, solves = (
+        after[k] - before.get(k, 0)
+        for k in ("serve.batch.requests", "serve.batch.solves")
+    )
+    assert requests == len(served)
+    mean_batch = requests / solves
+    deciles = statistics.quantiles(latencies, n=10)
+    benchmark.extra_info["clients"] = n
+    benchmark.extra_info["p50_ms"] = statistics.median(latencies) * 1e3
+    benchmark.extra_info["p90_ms"] = deciles[8] * 1e3
+    benchmark.extra_info["batch_size_mean"] = mean_batch
+    benchmark.extra_info["merged"] = requests - solves
+    assert mean_batch >= _BURST_MIN_BATCH, (
+        f"bursts of {n} distinct misses averaged {mean_batch:.2f} points "
+        f"per solve (floor {_BURST_MIN_BATCH}): the window no longer "
+        "merges co-arriving misses"
     )

@@ -981,8 +981,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_cache_backend_option(serve_p)
     serve_p.add_argument("--batch-window", type=float, default=0.002,
                          metavar="SECONDS",
-                         help="co-arrival window merged into one batched "
-                              "kernel solve (default: 0.002)")
+                         help="longest wait for co-arriving misses to merge "
+                              "into one batched kernel solve; closes early "
+                              "when no one else is arriving (default: "
+                              "0.002)")
     serve_p.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
 

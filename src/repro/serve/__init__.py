@@ -13,15 +13,17 @@ Layers (all stdlib-only):
 :mod:`repro.serve.service`
     :class:`SweepService` -- singleflight request coalescing, a batch
     window that merges co-arriving analytic points into one vectorized
-    kernel solve, and a scheduler routing batch-capable evaluators
+    kernel solve (and closes at once for a lone miss, which takes the
+    scalar kernel), and a scheduler routing batch-capable evaluators
     inline and sim evaluators to a persistent worker pool with async
     :class:`Job` objects (progress streamed from :mod:`repro.obs`
     events).
 :mod:`repro.serve.http`
-    The JSON-over-HTTP front end (``http.server`` threading server).
+    The JSON-over-HTTP front end (``http.server`` threading server,
+    persistent HTTP/1.1 connections).
 :mod:`repro.serve.client`
     :class:`Client`, returning the same typed objects as the
-    in-process facade.
+    in-process facade over one kept-alive connection per thread.
 :mod:`repro.serve.migrate`
     :func:`migrate_cache` -- verified byte-exact conversion between the
     file-tree and sqlite cache backends.

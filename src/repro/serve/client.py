@@ -1,11 +1,19 @@
 """Typed client for the ``lopc-serve/1`` HTTP protocol.
 
-Stdlib-only (:mod:`urllib.request`); every method returns the same
+Stdlib-only (:mod:`http.client`); every method returns the same
 typed objects the in-process facade does -- ``point`` gives a
 :class:`~repro.api.Solution`, ``result``/``wait`` give a
 :class:`~repro.sweep.SweepResult`, ``optimize`` gives an
 :class:`~repro.opt.result.OptResult` -- so moving code between
 in-process and served execution is a one-line change.
+
+Each thread using a :class:`Client` keeps one persistent HTTP/1.1
+connection to the server, so a request costs no TCP handshake.  If the
+server dropped a reused idle connection (idle timeout, restart) before
+any reply arrived, the request is sent once more on a fresh connection;
+once a status line was read it is never re-sent, since ``/v1/sweep``
+is not idempotent.  :meth:`Client.close` (or a ``with`` block) closes
+every connection.
 
 >>> client = Client("http://127.0.0.1:8421")           # doctest: +SKIP
 >>> sol = client.point(scenario="alltoall", P=32,
@@ -16,22 +24,41 @@ in-process and served execution is a one-line change.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Mapping
+from urllib.parse import urlsplit
 
 __all__ = ["Client", "ServeError"]
 
 
 class ServeError(RuntimeError):
-    """A non-2xx server reply, carrying the HTTP status and message."""
+    """A non-2xx server reply, carrying the HTTP status and message.
+
+    Status 0 means no reply at all: the server could not be reached or
+    the connection failed mid-request.
+    """
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(f"[{status}] {message}")
         self.status = status
         self.message = message
+
+
+class _Held:
+    """One thread's connection, kept in that thread's local storage.
+
+    When the thread ends its storage is freed, and ``closer`` -- a
+    finalizer on this holder -- closes the connection.
+    """
+
+    __slots__ = ("conn", "closer", "__weakref__")
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.conn = conn
 
 
 class Client:
@@ -40,8 +67,36 @@ class Client:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        split = urlsplit(self.base_url)
+        if split.scheme not in ("http", "https") or not split.netloc:
+            raise ValueError(
+                f"server URL must be http(s)://host[:port], got {base_url!r}"
+            )
+        self._connection_class = (
+            http.client.HTTPSConnection if split.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = split.netloc
+        self._prefix = split.path
+        self._local = threading.local()
+        # One closer per live thread connection, so close() reaches
+        # them all; a thread that ends closes its own.
+        self._closers: "set[weakref.finalize]" = set()
+        self._closers_lock = threading.Lock()
 
     # -- transport -----------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's persistent connection (opened lazily)."""
+        held = getattr(self._local, "held", None)
+        if held is None or not held.closer.alive:
+            conn = self._connection_class(self._netloc, timeout=self.timeout)
+            held = self._local.held = _Held(conn)
+            held.closer = weakref.finalize(held, conn.close)
+            with self._closers_lock:
+                self._closers = {c for c in self._closers if c.alive}
+                self._closers.add(held.closer)
+        return held.conn
+
     def _request(self, method: str, path: str,
                  body: object | None = None) -> dict:
         data = None
@@ -49,23 +104,52 @@ class Client:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
+        conn = self._connection()
+        for retry in (True, False):
+            reused = conn.sock is not None
             try:
-                message = json.loads(exc.read()).get("error", str(exc))
+                conn.request(method, self._prefix + path, body=data,
+                             headers=headers)
+                response = conn.getresponse()
+            except ConnectionError as exc:
+                # No status line came back.  On a reused connection the
+                # server closed it while idle: send once more, fresh.
+                conn.close()
+                if reused and retry:
+                    continue
+                raise ServeError(0, f"cannot reach {self.base_url}: "
+                                    f"{exc}") from None
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise ServeError(0, f"request to {self.base_url} failed: "
+                                    f"{exc}") from None
+            break
+        try:
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise ServeError(0, f"reply from {self.base_url} cut off: "
+                                f"{exc}") from None
+        if response.status >= 400:
+            try:
+                message = json.loads(raw).get("error", response.reason)
             except (ValueError, AttributeError):
-                message = str(exc)
-            raise ServeError(exc.code, message) from None
-        except urllib.error.URLError as exc:
-            raise ServeError(0, f"cannot reach {self.base_url}: "
-                                f"{exc.reason}") from None
+                message = response.reason
+            raise ServeError(response.status, message)
+        return json.loads(raw)
+
+    def close(self) -> None:
+        """Close every thread's connection; later requests reopen one."""
+        with self._closers_lock:
+            closers, self._closers = self._closers, set()
+        for closer in closers:
+            closer()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     def _get(self, path: str) -> dict:
         return self._request("GET", path)

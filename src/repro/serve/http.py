@@ -23,11 +23,20 @@ Routes (all bodies and responses are JSON)::
 Errors are ``{"error": <message>}`` with a 4xx/5xx status; bad input
 (unknown scenario/evaluator/job, malformed JSON, invalid parameters)
 is 400/404, evaluation failures are 500.
+
+Connections are HTTP/1.1 persistent, with Nagle's algorithm off
+(``TCP_NODELAY``): a reply is written as headers, then body, and on a
+kept-alive connection Nagle would hold the small body back until the
+client's delayed ACK of the headers, ~40 ms later.  A connection idle
+for :data:`IDLE_TIMEOUT` seconds is closed, and
+:meth:`ServeHTTPServer.server_close` closes the idle ones at once, so
+neither pins a handler thread.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -44,6 +53,10 @@ PROTOCOL = "lopc-serve/1"
 #: is a mistake or abuse.
 MAX_BODY = 4 * 1024 * 1024
 
+#: Seconds a persistent connection may sit idle before the server
+#: closes it and frees its handler thread.
+IDLE_TIMEOUT = 30.0
+
 
 class ServeHTTPServer(ThreadingHTTPServer):
     """Threading server carrying the shared service instance."""
@@ -54,11 +67,40 @@ class ServeHTTPServer(ThreadingHTTPServer):
                  service: SweepService, *, quiet: bool = True) -> None:
         self.service = service
         self.quiet = quiet
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
+
+    def finish_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            with self._connections_lock:
+                self._connections.discard(request)
+
+    def server_close(self) -> None:
+        """Close the listener and end every persistent connection.
+
+        Shutting the read side makes each handler see end-of-stream at
+        its next request boundary: an idle connection closes at once, a
+        request in progress still gets its reply first.
+        """
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # already gone
+                pass
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT
+    disable_nagle_algorithm = True  # see the module docstring
     server: ServeHTTPServer
 
     # -- plumbing ------------------------------------------------------

@@ -35,6 +35,7 @@ import os
 import sqlite3
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -53,6 +54,19 @@ __all__ = [
 
 #: Path suffixes routed to :class:`SqliteCache` by :func:`coerce_cache`.
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+#: Seconds a connection waits on another writer's lock before failing.
+_BUSY_TIMEOUT = 30.0
+
+#: Idle connections one :class:`SqliteCache` keeps for reuse.  Threads
+#: using the instance at once each check one out; a connection returned
+#: while this many sit idle is closed.
+_POOL_IDLE = 8
+
+#: Connections a forked child inherited from its parent.  The child
+#: must not close them (that could disturb the parent's WAL and lock
+#: state), so they stay referenced here for the child's lifetime.
+_INHERITED: "list[sqlite3.Connection]" = []
 
 #: Version of the model/simulator semantics baked into cache keys.
 #: Bump on any change that alters solver or simulator *results*.
@@ -223,12 +237,19 @@ class SqliteCache:
 
     Concurrency contract:
 
-    * *threads* may share one instance -- connections are per-thread
-      (sqlite objects must not cross threads) and the stats counters
-      are lock-guarded;
-    * *processes* each open their own instance on the same path; WAL
+    * *threads* share one instance and a small pool of connections
+      (opened with ``check_same_thread=False``): each statement checks
+      one out and returns it, so a short-lived thread -- an HTTP
+      handler in the serve layer -- pays for no connection of its own,
+      and a writer waiting out another process's lock holds up no
+      reader.  At most ``_POOL_IDLE`` connections stay open while idle;
+      the stats counters are lock-guarded;
+    * *processes* each use their own connections on the same path; WAL
       journaling plus a busy timeout serialises writers without torn
-      records, and identical-content rewrites are last-writer-wins.
+      records, and identical-content rewrites are last-writer-wins.  An
+      instance inherited across ``fork`` notices the new pid and starts
+      an empty pool (and lock) in the child; the parent's connections
+      are never used or closed there.
 
     ``synchronous=NORMAL`` is the WAL-recommended setting: an OS crash
     can lose the tail of recently-acknowledged writes but never
@@ -241,24 +262,58 @@ class SqliteCache:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.stats = stats if stats is not None else CacheStats()
-        self._local = threading.local()
-        self._stats_lock = threading.Lock()
-        self._conn()  # create the table eagerly; fail fast on bad paths
+        self._idle: list[sqlite3.Connection] = []
+        self._pid = os.getpid()
+        self._lock = threading.Lock()
+        with self._connection():
+            pass  # create the table eagerly; fail fast on bad paths
 
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(
-                self.path, timeout=30.0, isolation_level=None
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS records ("
-                "key TEXT PRIMARY KEY, record TEXT NOT NULL)"
-            )
-            self._local.conn = conn
+    def _connect(self) -> sqlite3.Connection:
+        conn = sqlite3.connect(
+            self.path, timeout=_BUSY_TIMEOUT, isolation_level=None,
+            check_same_thread=False,
+        )
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS records ("
+            "key TEXT PRIMARY KEY, record TEXT NOT NULL)"
+        )
         return conn
+
+    def _after_fork(self) -> None:
+        """In a forked child, start an empty pool and a fresh lock."""
+        if self._pid != os.getpid():
+            # The idle connections are the parent's.  Closing them here
+            # could touch the parent's WAL/lock state, so keep them
+            # alive but unused for the child's lifetime.
+            _INHERITED.extend(self._idle)
+            self._lock = threading.Lock()  # may have been held at fork
+            self._idle, self._pid = [], os.getpid()
+
+    def _checkout(self) -> sqlite3.Connection:
+        """An idle connection from the pool, or a new one."""
+        self._after_fork()
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._connect()
+
+    def _checkin(self, conn: sqlite3.Connection) -> None:
+        """Return ``conn`` to the pool, or close it if the pool is full."""
+        with self._lock:
+            if len(self._idle) < _POOL_IDLE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        conn = self._checkout()
+        try:
+            yield conn
+        finally:
+            self._checkin(conn)
 
     def get(self, key: str) -> dict | None:
         """The record stored under ``key``, or None (counted hit/miss).
@@ -267,71 +322,81 @@ class SqliteCache:
         (foreign writer, disk trouble) is dropped and counted a miss so
         the point is simply recomputed.
         """
-        row = self._conn().execute(
-            "SELECT record FROM records WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            with self._stats_lock:
-                self.stats.misses += 1
-            return None
+        conn = self._checkout()  # get/put skip _connection(): hot path
         try:
-            record = json.loads(row[0])
-        except json.JSONDecodeError:
-            self._conn().execute(
-                "DELETE FROM records WHERE key = ?", (key,)
-            )
-            with self._stats_lock:
+            row = conn.execute(
+                "SELECT record FROM records WHERE key = ?", (key,)
+            ).fetchone()
+            record = None
+            if row is not None:
+                try:
+                    record = json.loads(row[0])
+                except json.JSONDecodeError:
+                    conn.execute("DELETE FROM records WHERE key = ?", (key,))
+        finally:
+            self._checkin(conn)
+        with self._lock:
+            if record is None:
                 self.stats.misses += 1
-            return None
-        with self._stats_lock:
-            self.stats.hits += 1
+            else:
+                self.stats.hits += 1
         return record
 
     def put(self, key: str, record: Mapping[str, object]) -> None:
         """Persist ``record`` under ``key`` (atomic; upsert on replays)."""
         data = json.dumps(record, sort_keys=True, allow_nan=False)
-        self._conn().execute(
-            "INSERT INTO records (key, record) VALUES (?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET record = excluded.record",
-            (key, data),
-        )
-        with self._stats_lock:
+        conn = self._checkout()
+        try:
+            conn.execute(
+                "INSERT INTO records (key, record) VALUES (?, ?) "
+                "ON CONFLICT(key) DO UPDATE SET record = excluded.record",
+                (key, data),
+            )
+        finally:
+            self._checkin(conn)
+        with self._lock:
             self.stats.writes += 1
 
+    def _one(self, sql: str, args: tuple = ()) -> tuple | None:
+        """Run one statement; its first row, if any."""
+        with self._connection() as conn:
+            return conn.execute(sql, args).fetchone()
+
     def __contains__(self, key: str) -> bool:
-        row = self._conn().execute(
-            "SELECT 1 FROM records WHERE key = ?", (key,)
-        ).fetchone()
-        return row is not None
+        return self._one("SELECT 1 FROM records WHERE key = ?",
+                         (key,)) is not None
 
     def __len__(self) -> int:
-        return int(self._conn().execute(
-            "SELECT COUNT(*) FROM records"
-        ).fetchone()[0])
+        return int(self._one("SELECT COUNT(*) FROM records")[0])
 
     def keys(self) -> Iterator[str]:
         """Every stored record key (unordered)."""
-        for (key,) in self._conn().execute("SELECT key FROM records"):
+        with self._connection() as conn:
+            rows = conn.execute("SELECT key FROM records").fetchall()
+        for (key,) in rows:
             yield key
 
     def raw(self, key: str) -> str | None:
         """The exact serialized record text (no stats), or None."""
-        row = self._conn().execute(
-            "SELECT record FROM records WHERE key = ?", (key,)
-        ).fetchone()
+        row = self._one("SELECT record FROM records WHERE key = ?", (key,))
         return None if row is None else row[0]
 
     def clear(self) -> int:
         """Delete every record; returns the number removed."""
-        cursor = self._conn().execute("DELETE FROM records")
-        return cursor.rowcount
+        with self._connection() as conn:
+            return conn.execute("DELETE FROM records").rowcount
 
     def close(self) -> None:
-        """Close this thread's connection (others close on thread exit)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
+        """Close the idle connections; the next use opens a fresh one.
+
+        A connection another thread is using right now goes back to the
+        pool when that thread is done with it.
+        """
+        self._after_fork()
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
-            self._local.conn = None
 
     @classmethod
     def coerce(

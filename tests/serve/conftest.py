@@ -77,6 +77,7 @@ def http_service(tmp_path):
     host, port = server.server_address[:2]
     client = Client(f"http://{host}:{port}", timeout=30.0)
     yield client, service
+    client.close()
     server.shutdown()
     server.server_close()
     service.close()

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -123,9 +125,11 @@ class TestSqliteCorruption:
         cache = SqliteCache(tmp_path / "cache.sqlite")
         key = point_key("ev", {"W": 1})
         cache.put(key, _record(1.0))
-        cache._conn().execute(
-            "UPDATE records SET record = '{truncated' WHERE key = ?", (key,)
-        )
+        with sqlite3.connect(tmp_path / "cache.sqlite") as foreign:
+            foreign.execute(
+                "UPDATE records SET record = '{truncated' WHERE key = ?",
+                (key,),
+            )
         assert cache.get(key) is None
         assert key not in cache
 
@@ -240,6 +244,10 @@ class TestConcurrentProcesses:
     def test_multiprocess_writers_leave_complete_store(self, tmp_path):
         """4 processes share one database file; WAL serialises writers."""
         path = str(tmp_path / "cache.sqlite")
+        # Create the store first: this test is about writers.  Several
+        # processes creating one fresh file at once is a separate race
+        # (open in ROADMAP.md).
+        SqliteCache(path).close()
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(4) as pool:
             writes = pool.starmap(
@@ -250,3 +258,106 @@ class TestConcurrentProcesses:
         assert len(cache) == 100
         for key in cache.keys():
             json.loads(cache.raw(key))  # every record parses whole
+
+
+class TestConnectionPool:
+    def test_short_lived_threads_reuse_pooled_connections(
+        self, tmp_path, monkeypatch
+    ):
+        """32 one-shot threads (like HTTP handlers), 8 at a time, open
+        at most one connection per thread running at once -- not one
+        each -- lose no stats update, and every record stays
+        byte-identical."""
+        import sys
+
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        files = ResultCache(tmp_path / "files")
+        opened = []
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *a, **k: opened.append(a) or connect(*a, **k),
+        )
+        keys = [point_key("ev", {"W": w}) for w in range(32)]
+
+        def one_shot(w: int) -> None:
+            cache.put(keys[w], _record(float(w)))
+            assert cache.get(keys[w]) == _record(float(w))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for batch in range(0, 32, 8):
+                threads = [threading.Thread(target=one_shot, args=(w,))
+                           for w in range(batch, batch + 8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        # One connection existed before; at most 8 are in use at once.
+        assert len(opened) <= 7
+        assert cache.stats.as_dict() == {"hits": 32, "misses": 0,
+                                         "writes": 32}
+        for w, key in enumerate(keys):
+            files.put(key, _record(float(w)))
+            assert cache.raw(key) == files.raw(key)
+
+    def test_blocked_writer_does_not_hold_up_readers(self, tmp_path):
+        """A put waiting out another writer's lock leaves reads free."""
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        key = point_key("ev", {"W": 1})
+        cache.put(key, _record(1.0))
+        other = sqlite3.connect(tmp_path / "cache.sqlite",
+                                isolation_level=None)
+        other.execute("BEGIN IMMEDIATE")  # holds the write lock
+        writer = threading.Thread(
+            target=cache.put, args=(point_key("ev", {"W": 2}), _record(2.0))
+        )
+        try:
+            writer.start()
+            time.sleep(0.1)  # the put is now waiting on the lock
+            assert writer.is_alive()
+            start = time.monotonic()
+            assert cache.get(key) == _record(1.0)
+            assert time.monotonic() - start < 1.0
+        finally:
+            other.execute("COMMIT")
+            other.close()
+            writer.join(30.0)
+        assert not writer.is_alive()
+        assert len(cache) == 2
+
+    def test_close_then_reuse_reopens(self, tmp_path):
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        key = point_key("ev", {"W": 1})
+        cache.put(key, _record(1.0))
+        cache.close()
+        cache.close()  # idempotent
+        assert cache.get(key) == _record(1.0)
+
+
+def _use_inherited(cache: SqliteCache, key: str) -> None:
+    """Runs in a forked child on the parent's instance."""
+    assert cache.get(key) == _record(1.0)
+    cache.put(point_key("ev", {"child": True}), _record(2.0))
+    cache.close()
+
+
+class TestFork:
+    def test_instance_created_before_fork_works_in_the_child(self, tmp_path):
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        key = point_key("ev", {"W": 1})
+        cache.put(key, _record(1.0))
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_use_inherited, args=(cache, key))
+        child.start()
+        child.join(30)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+        # The parent's own connection is untouched by the child.
+        assert cache.get(point_key("ev", {"child": True})) == _record(2.0)
+        cache.put(point_key("ev", {"W": 3}), _record(3.0))
+        assert len(cache) == 3

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import threading
+import time
 
 import pytest
 
+from repro.api.scenarios import SCENARIO_CLASSES
+from repro.fuzz.generators import FUZZ_SCENARIOS, generate_points
 from repro.serve import SweepService
-from repro.sweep.cache import SqliteCache
+from repro.sweep.cache import CacheStats, SqliteCache
+from repro.sweep.evaluators import (
+    evaluate_batch,
+    evaluate_point,
+    evaluator_defaults,
+)
 from repro.sweep.spec import SweepSpec
 
 
@@ -143,6 +152,218 @@ class TestBatchWindow:
                 2.0 * i for i in range(n)
             ]
             assert service.cache.stats.writes == n
+
+
+def _within(seconds: float, func):
+    """``func()`` on a helper thread; fail instead of hanging."""
+    box: dict = {}
+
+    def run() -> None:
+        try:
+            box["value"] = func()
+        except BaseException as exc:  # re-raised on the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"request still hanging after {seconds}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+#: Every built-in evaluator with a batch companion, by fuzz scenario.
+_BATCH_CAPABLE = [
+    (cls.name, backend.evaluator)
+    for cls in SCENARIO_CLASSES if cls.name in FUZZ_SCENARIOS
+    for backend in cls.backends if backend.batch is not None
+]
+
+
+class TestLoneMissFastPath:
+    def test_lone_miss_skips_the_window_via_the_scalar_kernel(
+        self, tmp_path, make_evaluator
+    ):
+        name, calls = make_evaluator(batch=True)
+        with SweepService(
+            tmp_path / "cache.sqlite", batch_window=0.25
+        ) as service:
+            start = time.perf_counter()
+            outcome = service.point(name, {"W": 3.0})
+            elapsed = time.perf_counter() - start
+            counters = service.metrics_snapshot()["counters"]
+        assert elapsed < 0.1
+        assert calls["point"] == 1
+        assert calls["batch"] == 0
+        assert outcome.values == {"R": 6.0}
+        assert counters["serve.batch.solves"] == 1
+        assert counters["serve.batch.requests"] == 1
+
+    def test_window_waits_while_another_request_could_join(
+        self, make_evaluator
+    ):
+        """``batch_window`` still bounds the wait when it cannot close
+        early: here a request is parked mid-arrival for the whole call."""
+        name, calls = make_evaluator(batch=True)
+        with SweepService(batch_window=0.2) as service:
+            service._batcher.arrive()
+            try:
+                start = time.perf_counter()
+                _within(5.0, lambda: service.point(name, {"W": 1.0}))
+                elapsed = time.perf_counter() - start
+            finally:
+                service._batcher.settle()
+        assert 0.19 <= elapsed < 2.0
+        assert calls["point"] == 1
+
+    def test_coalesced_followers_do_not_hold_the_window_open(
+        self, make_evaluator
+    ):
+        name, calls = make_evaluator(batch=True)
+        n = 4
+        with SweepService(batch_window=0.25) as service:
+            barrier = threading.Barrier(n)
+
+            def query() -> None:
+                barrier.wait()
+                service.point(name, {"W": 7.0})
+
+            threads = [threading.Thread(target=query) for _ in range(n)]
+            start = time.perf_counter()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+            elapsed = time.perf_counter() - start
+        assert not any(t.is_alive() for t in threads)
+        assert calls["point"] + calls["batch"] == 1
+        assert elapsed < 0.2
+
+    def test_mixed_concurrent_traffic_leaves_no_state_behind(
+        self, tmp_path, make_evaluator
+    ):
+        """Hits, misses and duplicates from more threads than cores,
+        with a tiny switch interval: every answer is right and the
+        window bookkeeping returns to rest."""
+        import sys
+
+        name, _ = make_evaluator(batch=True)
+        errors: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SweepService(
+                tmp_path / "cache.sqlite", batch_window=0.002
+            ) as service:
+                def client(c: int) -> None:
+                    for i in range(40):
+                        w = float((c * 7 + i) % 25)
+                        try:
+                            got = service.point(name, {"W": w})
+                            if got.values != {"R": 2.0 * w}:
+                                errors.append((w, got.values))
+                        except BaseException as exc:
+                            errors.append(exc)
+
+                threads = [threading.Thread(target=client, args=(c,))
+                           for c in range(12)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30.0)
+                assert not any(t.is_alive() for t in threads)
+                batcher = service._batcher
+                assert (batcher._arriving, batcher._pending,
+                        batcher._owned) == (0, [], False)
+                assert service._flights == {}
+                assert len(service.cache) == 25
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    @pytest.mark.parametrize(
+        "scenario,evaluator", _BATCH_CAPABLE,
+        ids=[evaluator for _, evaluator in _BATCH_CAPABLE],
+    )
+    def test_scalar_equals_batch_of_one_bitwise(self, scenario, evaluator):
+        """What lets a lone miss skip the batch kernel: the scalar
+        evaluator returns exactly the batch-of-one record."""
+        for params in generate_points(scenario, 16, seed=12):
+            merged = evaluator_defaults(evaluator)
+            merged.update(params)
+            try:
+                scalar = evaluate_point((evaluator, merged))
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    evaluate_batch(evaluator, [merged])
+                continue
+            (batch,) = evaluate_batch(evaluator, [merged])
+            assert json.dumps(scalar["values"], sort_keys=True) == (
+                json.dumps(batch["values"], sort_keys=True)
+            ), params
+            for meta in (scalar["meta"], batch["meta"]):
+                meta.pop("wall_time")
+                meta.pop("batched", None)
+            assert scalar["meta"] == batch["meta"], params
+
+
+class _FailingPutCache:
+    """A ``CacheBackend`` whose every write raises, like a full disk."""
+
+    def __init__(self) -> None:
+        self.stats = CacheStats()
+        self.puts = 0
+
+    def get(self, key: str):
+        self.stats.misses += 1
+        return None
+
+    def put(self, key: str, record) -> None:
+        self.puts += 1
+        raise OSError("No space left on device")
+
+
+class TestFailureSemantics:
+    @pytest.mark.parametrize("batch", [True, False],
+                             ids=["batcher", "pool"])
+    def test_failed_cache_write_still_serves_the_value(
+        self, make_evaluator, batch
+    ):
+        name, _ = make_evaluator(batch=batch)
+        cache = _FailingPutCache()
+        with SweepService(cache, workers=2) as service:
+            first = _within(5.0, lambda: service.point(name, {"W": 2.0}))
+            # Neither the route nor the key may be left stuck.
+            other = _within(5.0, lambda: service.point(name, {"W": 5.0}))
+            again = _within(5.0, lambda: service.point(name, {"W": 2.0}))
+            counters = service.metrics_snapshot()["counters"]
+        assert first.values == again.values == {"R": 4.0}
+        assert other.values == {"R": 10.0}
+        assert first.cached is False
+        assert cache.puts == 3
+        assert counters["cache.put_failed"] == 3
+
+    def test_batcher_survives_a_crash_outside_the_kernel(
+        self, tmp_path, make_evaluator, monkeypatch
+    ):
+        """A crash while solving a window ends every drained request
+        with the error, and the next window works."""
+        name, _ = make_evaluator(batch=True)
+        with SweepService(tmp_path / "cache.sqlite") as service:
+            batcher = service._batcher
+            solve = batcher._solve
+
+            def crash_once(batch) -> None:
+                monkeypatch.setattr(batcher, "_solve", solve)
+                raise SystemExit("batcher bug")
+
+            monkeypatch.setattr(batcher, "_solve", crash_once)
+            with pytest.raises(SystemExit, match="batcher bug"):
+                _within(5.0, lambda: service.point(name, {"W": 1.0}))
+            assert service._flights == {}
+            later = _within(5.0, lambda: service.point(name, {"W": 1.0}))
+            assert later.values == {"R": 2.0}
 
 
 class TestScheduling:
