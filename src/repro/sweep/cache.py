@@ -17,9 +17,11 @@ the records:
     can convert either direction losslessly.
 
 Both satisfy the :class:`CacheBackend` protocol the sweep runner
-programs against; :func:`coerce_cache` turns user-facing cache
-spellings (an instance, a directory, a ``*.sqlite`` path, ``None``)
-into a backend.
+programs against.  :func:`get_many`/:func:`put_many` batch a sweep's
+reads and writes on backends that offer batched methods (the sqlite
+store does) and loop ``get``/``put`` on the rest.
+:func:`coerce_cache` turns user-facing cache spellings (an instance,
+a directory, a ``*.sqlite`` path, ``None``) into a backend.
 
 The key deliberately excludes the sweep's *name*: two different sweeps
 that evaluate the same point (Figures 5-2 and 5-3 share their simulator
@@ -39,7 +41,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterator, Mapping, Protocol, runtime_checkable
+from typing import (
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 __all__ = [
     "CacheBackend",
@@ -49,7 +58,9 @@ __all__ = [
     "SqliteCache",
     "canonical_json",
     "coerce_cache",
+    "get_many",
     "point_key",
+    "put_many",
 ]
 
 #: Path suffixes routed to :class:`SqliteCache` by :func:`coerce_cache`.
@@ -62,6 +73,10 @@ _BUSY_TIMEOUT = 30.0
 #: using the instance at once each check one out; a connection returned
 #: while this many sit idle is closed.
 _POOL_IDLE = 8
+
+#: Keys one ``SELECT ... IN (...)`` binds at most: sqlite builds before
+#: 3.32 cap a statement at 999 bound parameters.
+_MAX_VARIABLES = 999
 
 #: Connections a forked child inherited from its parent.  The child
 #: must not close them (that could disturb the parent's WAL and lock
@@ -76,10 +91,22 @@ _INHERITED: "list[sqlite3.Connection]" = []
 SOLVER_VERSION = "2"
 
 
+#: The encoder behind :func:`canonical_json` and :func:`point_key`,
+#: built once: ``json.dumps`` with non-default options builds a fresh
+#: ``JSONEncoder`` on every call.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+#: The encoder of stored record text: the same output as
+#: ``json.dumps(record, sort_keys=True, allow_nan=False)``, which is
+#: what makes the two backends' stored bytes identical.
+_RECORD = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def canonical_json(obj: object) -> str:
     """Deterministic JSON: sorted keys, compact separators, no NaN."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 def point_key(
@@ -87,13 +114,20 @@ def point_key(
     params: Mapping[str, object],
     solver_version: str = SOLVER_VERSION,
 ) -> str:
-    """Stable content hash identifying one evaluated point."""
-    payload = canonical_json(
-        {
-            "evaluator": evaluator,
-            "params": dict(params),
-            "solver_version": solver_version,
-        }
+    """Stable content hash identifying one evaluated point.
+
+    The SHA-256 of ``canonical_json({"evaluator": evaluator, "params":
+    params, "solver_version": solver_version})``.  The three top-level
+    keys already sort in that order, so the payload is assembled from a
+    fixed frame around the canonical params instead of encoding a
+    wrapper dict -- the same bytes, for less work per key.
+    """
+    encode = _CANONICAL.encode
+    payload = (
+        '{"evaluator":' + encode(evaluator)
+        + ',"params":'
+        + encode(params if type(params) is dict else dict(params))
+        + ',"solver_version":' + encode(solver_version) + "}"
     )
     return sha256(payload.encode("utf-8")).hexdigest()
 
@@ -137,6 +171,32 @@ class CacheBackend(Protocol):
     def put(self, key: str, record: Mapping[str, object]) -> None: ...
 
 
+# Batched access is an optional extension, deliberately outside the
+# protocol: a backend offering only get/put (a third-party store, a
+# delegating wrapper) must still pass coerce_cache.  These two helpers
+# are the one place the runner picks between the paths.
+
+
+def get_many(cache: CacheBackend,
+             keys: Sequence[str]) -> "list[dict | None]":
+    """``cache.get`` of every key, in order, batched where offered."""
+    batched = getattr(cache, "get_many", None)
+    if batched is not None:
+        return batched(keys)
+    return [cache.get(key) for key in keys]
+
+
+def put_many(cache: CacheBackend,
+             items: "Sequence[tuple[str, Mapping[str, object]]]") -> None:
+    """``cache.put`` of every ``(key, record)``, batched where offered."""
+    batched = getattr(cache, "put_many", None)
+    if batched is not None:
+        batched(items)
+        return
+    for key, record in items:
+        cache.put(key, record)
+
+
 @dataclass
 class ResultCache:
     """Filesystem-backed record store addressed by :func:`point_key`."""
@@ -177,7 +237,7 @@ class ResultCache:
         """Atomically persist ``record`` under ``key``."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(record, sort_keys=True, allow_nan=False)
+        data = _RECORD.encode(record)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
@@ -227,6 +287,13 @@ class ResultCache:
         return cls(Path(cache))
 
 
+#: The upsert behind :meth:`SqliteCache.put` and ``put_many``.
+_UPSERT = (
+    "INSERT INTO records (key, record) VALUES (?, ?) "
+    "ON CONFLICT(key) DO UPDATE SET record = excluded.record"
+)
+
+
 class SqliteCache:
     """Sqlite-backed record store safe under concurrent writers.
 
@@ -250,6 +317,12 @@ class SqliteCache:
       instance inherited across ``fork`` notices the new pid and starts
       an empty pool (and lock) in the child; the parent's connections
       are never used or closed there.
+
+    Batched access: :meth:`get_many` reads many keys with one checkout
+    and one ``SELECT``; :meth:`put_many` writes many records in one
+    transaction, all or nothing.  The sweep runner uses them (through
+    the module-level :func:`get_many`/:func:`put_many`) so a sweep pays
+    one read and one write transaction per dispatch, not one per point.
 
     ``synchronous=NORMAL`` is the WAL-recommended setting: an OS crash
     can lose the tail of recently-acknowledged writes but never
@@ -300,7 +373,14 @@ class SqliteCache:
         return self._connect()
 
     def _checkin(self, conn: sqlite3.Connection) -> None:
-        """Return ``conn`` to the pool, or close it if the pool is full."""
+        """Return ``conn`` to the pool, or close it if the pool is full.
+
+        A connection still inside a transaction (a failed rollback) is
+        closed, which rolls it back, rather than pooled.
+        """
+        if conn.in_transaction:
+            conn.close()
+            return
         with self._lock:
             if len(self._idle) < _POOL_IDLE:
                 self._idle.append(conn)
@@ -344,18 +424,91 @@ class SqliteCache:
 
     def put(self, key: str, record: Mapping[str, object]) -> None:
         """Persist ``record`` under ``key`` (atomic; upsert on replays)."""
-        data = json.dumps(record, sort_keys=True, allow_nan=False)
+        data = _RECORD.encode(record)
         conn = self._checkout()
         try:
-            conn.execute(
-                "INSERT INTO records (key, record) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET record = excluded.record",
-                (key, data),
-            )
+            conn.execute(_UPSERT, (key, data))
         finally:
             self._checkin(conn)
         with self._lock:
             self.stats.writes += 1
+
+    def get_many(self, keys: Sequence[str]) -> "list[dict | None]":
+        """:meth:`get` over many keys: one checkout, one ``SELECT`` per
+        999 distinct keys.
+
+        Results come back in ``keys`` order (duplicates included, each
+        decoded on its own, as repeated :meth:`get` calls would), and
+        the hit/miss counters move exactly as those calls would move
+        them: a record that fails to parse is deleted and counted a
+        miss wherever its key appears.
+        """
+        keys = list(keys)
+        unique = list(dict.fromkeys(keys))
+        found: dict[str, str] = {}
+        conn = self._checkout()
+        try:
+            for lo in range(0, len(unique), _MAX_VARIABLES):
+                chunk = unique[lo:lo + _MAX_VARIABLES]
+                found.update(conn.execute(
+                    "SELECT key, record FROM records WHERE key IN ("
+                    + ",".join("?" * len(chunk)) + ")",
+                    chunk,
+                ).fetchall())
+        finally:
+            self._checkin(conn)
+        records: "list[dict | None]" = []
+        corrupt: set[str] = set()
+        for key in keys:
+            text = found.get(key)
+            record = None
+            if text is not None and key not in corrupt:
+                try:
+                    record = json.loads(text)
+                except json.JSONDecodeError:
+                    corrupt.add(key)
+            records.append(record)
+        if corrupt:
+            # Only the text that failed to parse: a record another
+            # writer replaced it with since the SELECT stays.
+            with self._connection() as conn:
+                conn.executemany(
+                    "DELETE FROM records WHERE key = ? AND record = ?",
+                    [(key, found[key]) for key in corrupt],
+                )
+        hits = sum(record is not None for record in records)
+        with self._lock:
+            self.stats.hits += hits
+            self.stats.misses += len(records) - hits
+        return records
+
+    def put_many(
+        self, items: "Iterable[tuple[str, Mapping[str, object]]]"
+    ) -> None:
+        """:meth:`put` over many ``(key, record)`` pairs, all or nothing.
+
+        Every record is encoded before the write transaction opens (a
+        record :meth:`put` would reject -- a NaN value -- raises
+        ``ValueError`` with nothing written), then one ``BEGIN
+        IMMEDIATE`` / upsert-all / ``COMMIT`` persists them; any error
+        inside the transaction rolls it back.
+        """
+        rows = [(key, _RECORD.encode(record)) for key, record in items]
+        if not rows:
+            return
+        conn = self._checkout()
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                conn.executemany(_UPSERT, rows)
+                conn.execute("COMMIT")
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
+        finally:
+            self._checkin(conn)
+        with self._lock:
+            self.stats.writes += len(rows)
 
     def _one(self, sql: str, args: tuple = ()) -> tuple | None:
         """Run one statement; its first row, if any."""

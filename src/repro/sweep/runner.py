@@ -3,14 +3,17 @@
 :func:`run_sweep` is the one entry point the experiments and CLI use:
 
 1. expand the :class:`~repro.sweep.spec.SweepSpec` into points;
-2. look every point up in the (optional) content-addressed cache;
+2. look every point up in the (optional) content-addressed cache --
+   one batched read for the whole sweep where the backend offers
+   ``get_many`` (:func:`~repro.sweep.cache.get_many`);
 3. evaluate the misses -- through the evaluator's *batch companion*
    when it advertises one (one vectorized in-process call over the
    whole miss list; the analytic LoPC evaluators do), otherwise through
    the executor (serial, or a process pool when ``jobs > 1``), in point
    order;
-4. persist fresh records back to the cache (so an interrupted sweep
-   resumes, and overlapping sweeps share work);
+4. persist fresh records back to the cache, one batched write at the
+   end of each dispatch (so an interrupted sweep resumes from its
+   finished dispatches, and overlapping sweeps share work);
 5. assemble a :class:`~repro.sweep.results.SweepResult` whose metadata
    reports cache traffic, total simulator events, and per-point compute
    time -- the numbers benchmark JSONs track across PRs.
@@ -49,7 +52,9 @@ from repro.sweep.cache import (
     CacheBackend,
     ResultCache,
     coerce_cache,
+    get_many,
     point_key,
+    put_many,
 )
 from repro.sweep.evaluators import (
     evaluate_batch,
@@ -696,6 +701,7 @@ def _run_sweep(
         registry.span("sweep.run") if registry is not None else nullcontext()
     )
     with span:
+        point_params = []
         for point in points:
             # Fill in the evaluator's declared defaults so omitted and
             # explicit-default parameters share one cache record.
@@ -703,12 +709,18 @@ def _run_sweep(
             params.update(
                 (k, v) for k, v in defaults.items() if k not in params
             )
-            # Content hashing is pure overhead without a store (~20% of
-            # the batch fast path's wall time on dense analytic grids).
-            key = (
-                point_key(spec.evaluator, params) if store is not None else None
-            )
-            cached = store.get(key) if store is not None else None
+            point_params.append(params)
+        # Content hashing is pure overhead without a store (~20% of the
+        # batch fast path's wall time on dense analytic grids).  With
+        # one, every key is read back in a single batched lookup.
+        if store is not None:
+            keys = [point_key(spec.evaluator, params)
+                    for params in point_params]
+            found = get_many(store, keys)
+        else:
+            keys = found = [None] * len(points)
+        for point, params, key, cached in zip(points, point_params, keys,
+                                              found):
             if cached is not None:
                 records[point.index] = PointRecord(
                     index=point.index,
@@ -727,12 +739,16 @@ def _run_sweep(
         )
         total = len(points)
         hits = total - len(misses)
+        # Fresh records wait here until their dispatch finishes, then
+        # go to the store in one batched write (flush), so a sweep
+        # interrupted between dispatches keeps every finished one.
+        unwritten: list[tuple[str, dict]] = []
 
         def absorb(index: int, key: "str | None", params: dict,
                    outcome: dict) -> None:
             values, meta = outcome["values"], outcome["meta"]
             if store is not None:
-                store.put(
+                unwritten.append((
                     key,
                     {
                         "evaluator": spec.evaluator,
@@ -741,7 +757,7 @@ def _run_sweep(
                         "meta": meta,
                         "solver_version": SOLVER_VERSION,
                     },
-                )
+                ))
             fresh_meta = dict(meta, cached=False)
             if key is not None:
                 fresh_meta["key"] = key
@@ -751,6 +767,11 @@ def _run_sweep(
                 values=values,
                 meta=fresh_meta,
             )
+
+        def flush() -> None:
+            if unwritten:
+                put_many(store, unwritten)
+                unwritten.clear()
 
         def evaluate(chunk: "list[tuple[int, str, dict]]") -> list[dict]:
             params_list = [p for _, _, p in chunk]
@@ -827,6 +848,7 @@ def _run_sweep(
                 )
                 for (index, key, params), outcome in zip(chunk, fresh):
                     absorb(index, key, params, outcome)
+                flush()
                 seeded_total = stager.seeded
                 chunk_seeded.append(seeded_total)
                 done = total
@@ -850,6 +872,7 @@ def _run_sweep(
                     scheduler.absorb(lo, hi, states)
                     for (index, key, params), outcome in zip(chunk, fresh):
                         absorb(index, key, params, outcome)
+                    flush()
                     n_seeded = sum(1 for seed in seeds if seed is not None)
                     seeded_total += n_seeded
                     chunk_seeded.append(n_seeded)
@@ -897,6 +920,7 @@ def _run_sweep(
             fresh = evaluate(misses)
             for (index, key, params), outcome in zip(misses, fresh):
                 absorb(index, key, params, outcome)
+            flush()
             report(total, 0.0 if misses else None)
         else:
             chunk_size = max(1, math.ceil(len(misses) / _PROGRESS_CHUNKS))
@@ -913,6 +937,7 @@ def _run_sweep(
                     chunk, evaluate(chunk)
                 ):
                     absorb(index, key, params, outcome)
+                flush()
                 done += len(chunk)
                 done_misses = done - hits
                 elapsed_miss = time.perf_counter() - miss_started

@@ -23,7 +23,9 @@ from repro.sweep.cache import (
     ResultCache,
     SqliteCache,
     coerce_cache,
+    get_many,
     point_key,
+    put_many,
 )
 
 
@@ -134,6 +136,142 @@ class TestSqliteCorruption:
         assert key not in cache
 
 
+def _items(ws) -> "list[tuple[str, dict]]":
+    return [(point_key("ev", {"W": w}), _record(float(w))) for w in ws]
+
+
+class TestBatchedSqlite:
+    """``get_many``/``put_many`` against repeated ``get``/``put``."""
+
+    def test_get_many_keeps_input_order_duplicates_and_chunks(
+        self, tmp_path
+    ):
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        stored = _items(range(0, 1200, 2))  # even W present, odd W absent
+        cache.put_many(stored)
+        keys = [point_key("ev", {"W": w}) for w in range(1200)]
+        keys += keys[:5] + keys[-3:]  # duplicates, past the 999 bound
+        records = cache.get_many(keys)
+        assert len(records) == len(keys)
+        for key, record in zip(keys, records):
+            assert record == (
+                dict(stored)[key] if key in dict(stored) else None
+            )
+        # Duplicates decode to separate objects, as repeated get()s do.
+        assert records[0] is not records[1200]
+
+    def test_counters_match_per_key_calls(self, tmp_path):
+        batched = SqliteCache(tmp_path / "batched.sqlite")
+        single = SqliteCache(tmp_path / "single.sqlite")
+        items = _items(range(6))
+        keys = [key for key, _ in items] + [point_key("ev", {"W": 99})]
+        batched.put_many(items[:3])
+        for key, record in items[:3]:
+            single.put(key, record)
+        assert batched.get_many(keys + keys[:2]) == [
+            single.get(key) for key in keys + keys[:2]
+        ]
+        batched.put_many(items)
+        for key, record in items:
+            single.put(key, record)
+        assert batched.stats.as_dict() == single.stats.as_dict() == {
+            "hits": 5, "misses": 4, "writes": 9,
+        }
+        assert batched.get_many([]) == []
+        batched.put_many([])
+        assert batched.stats.as_dict() == single.stats.as_dict()
+
+    def test_corrupt_row_is_deleted_and_a_miss(self, tmp_path):
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        (bad, _), (good, record) = items = _items((1, 2))
+        cache.put_many(items)
+        with sqlite3.connect(tmp_path / "cache.sqlite") as foreign:
+            foreign.execute(
+                "UPDATE records SET record = '{truncated' WHERE key = ?",
+                (bad,),
+            )
+        assert cache.get_many([bad, good, bad]) == [None, record, None]
+        assert bad not in cache
+        assert good in cache
+        assert cache.stats.as_dict() == {"hits": 1, "misses": 2,
+                                         "writes": 2}
+
+    def test_put_many_bytes_match_put_and_files(self, tmp_path):
+        batched = SqliteCache(tmp_path / "batched.sqlite")
+        single = SqliteCache(tmp_path / "single.sqlite")
+        files = ResultCache(tmp_path / "files")
+        items = _items((0.0, 1e-9, 0.1 + 0.2, 1e300))
+        batched.put_many(items)
+        for key, record in items:
+            single.put(key, record)
+            files.put(key, record)
+            assert batched.raw(key) == single.raw(key) == files.raw(key)
+
+    def test_helpers_fall_back_to_get_and_put(self, tmp_path):
+        """Backends without the batched methods loop get/put instead."""
+        files = ResultCache(tmp_path / "files")
+        sqlite = SqliteCache(tmp_path / "cache.sqlite")
+        items = _items(range(4))
+        keys = [key for key, _ in items] + [point_key("ev", {"W": 9})]
+        for cache in (files, sqlite):
+            put_many(cache, items[:2])
+            assert get_many(cache, keys) == [
+                items[0][1], items[1][1], None, None, None
+            ]
+        assert files.stats.as_dict() == sqlite.stats.as_dict()
+
+
+class TestPutManyAtomicity:
+    def _assert_pool_clean(self, cache: SqliteCache, path) -> None:
+        """No pooled connection holds a transaction; writers run free."""
+        assert all(not conn.in_transaction for conn in cache._idle)
+        other = SqliteCache(path)
+        key = point_key("ev", {"after": True})
+        for writer in (cache, other):
+            thread = threading.Thread(target=writer.put,
+                                      args=(key, _record(7.0)))
+            thread.start()
+            thread.join(5.0)
+            assert not thread.is_alive(), "a failed batch held the lock"
+        with sqlite3.connect(path) as fresh:  # committed, not pending
+            assert fresh.execute(
+                "SELECT COUNT(*) FROM records WHERE key = ?", (key,)
+            ).fetchone() == (1,)
+
+    def test_nan_record_raises_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        cache = SqliteCache(path)
+        items = _items((1.0, 2.0, 3.0))
+        items[1][1]["values"]["R"] = float("nan")
+        with pytest.raises(ValueError):
+            cache.put_many(items)
+        assert len(cache) == 0
+        assert cache.stats.writes == 0
+        self._assert_pool_clean(cache, path)
+
+    def test_failure_inside_executemany_rolls_back(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        cache = SqliteCache(path)
+        (first, record), _ = _items((1.0, 2.0))
+        # The second key cannot be bound: sqlite fails mid-executemany,
+        # after the first upsert already ran inside the transaction.
+        with pytest.raises(sqlite3.Error):
+            cache.put_many([(first, record), (["unbindable"], record)])
+        assert first not in cache
+        assert cache.stats.writes == 0
+        self._assert_pool_clean(cache, path)
+
+    def test_connection_left_in_a_transaction_is_not_pooled(
+        self, tmp_path
+    ):
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        conn = cache._checkout()
+        conn.execute("BEGIN IMMEDIATE")
+        cache._checkin(conn)
+        assert conn not in cache._idle
+        self._assert_pool_clean(cache, tmp_path / "cache.sqlite")
+
+
 class TestCoerce:
     def test_none_and_instances_pass_through(self, tmp_path):
         assert coerce_cache(None) is None
@@ -197,6 +335,40 @@ class TestConcurrentThreads:
             assert set(record) == {
                 "evaluator", "params", "values", "meta", "solver_version"
             }
+
+    def test_batched_calls_under_thread_contention(self, tmp_path):
+        """8 threads interleave put_many/get_many on overlapping keys:
+        no lost counter update, no torn record, no batch left open."""
+        import sys
+
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        keys = [point_key("ev", {"k": k}) for k in range(20)]
+
+        def burst(worker: int) -> None:
+            for _ in range(5):
+                cache.put_many([(key, _record(float(worker)))
+                                for key in keys])
+                assert all(r is not None for r in cache.get_many(keys))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=burst, args=(w,))
+                       for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.stats.as_dict() == {
+            "hits": 8 * 5 * 20, "misses": 0, "writes": 8 * 5 * 20,
+        }
+        assert all(not conn.in_transaction for conn in cache._idle)
+        # Each batch commits whole, so all keys carry one writer's value.
+        winners = {json.loads(cache.raw(key))["values"]["R"] for key in keys}
+        assert len(winners) == 1
 
     def test_last_writer_wins_on_same_key(self, tmp_path):
         """Racing writers leave exactly one *complete* racer's record."""

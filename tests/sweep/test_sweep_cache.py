@@ -1,14 +1,26 @@
 """Tests for the content-addressed result cache."""
 
 import json
+from hashlib import sha256
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sweep.cache import (
     SOLVER_VERSION,
     ResultCache,
     canonical_json,
     point_key,
+)
+
+_PARAM_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3),
 )
 
 
@@ -29,6 +41,38 @@ class TestPointKey:
         # 1 and 1.0 solve identically but canonical JSON distinguishes
         # them; keys must too, or a later lookup could round-trip types.
         assert point_key("ev", {"W": 1}) != point_key("ev", {"W": 1.0})
+
+    @given(
+        evaluator=st.text(),
+        params=st.dictionaries(st.text(), _PARAM_VALUES, max_size=8),
+        solver_version=st.text(),
+    )
+    def test_matches_hash_of_canonical_wrapper(
+        self, evaluator, params, solver_version
+    ):
+        # The key is defined as the hash of this wrapper's canonical
+        # JSON; point_key only builds the same bytes more cheaply.
+        payload = json.dumps(
+            {
+                "evaluator": evaluator,
+                "params": params,
+                "solver_version": solver_version,
+            },
+            sort_keys=True, separators=(",", ":"), allow_nan=False,
+        )
+        expected = sha256(payload.encode("utf-8")).hexdigest()
+        assert point_key(evaluator, params, solver_version) == expected
+
+    def test_pinned_key_bytes(self):
+        # Changing these bytes orphans every record already stored.
+        assert point_key("ev", {"W": 1, "P": 32}, "2") == sha256(
+            b'{"evaluator":"ev","params":{"P":32,"W":1},'
+            b'"solver_version":"2"}'
+        ).hexdigest()
+
+    def test_rejects_nan_params(self):
+        with pytest.raises(ValueError):
+            point_key("ev", {"W": float("nan")})
 
     def test_canonical_json_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
 """Tests for run_sweep: caching, resume, metadata, ordering."""
 
+import numpy as np
 import pytest
 
 import repro.sweep.evaluators as evaluators_mod
+from repro.obs import EventLog
 from repro.sweep import (
     GridAxis,
     ResultCache,
     SweepSpec,
     run_sweep,
 )
+from repro.sweep.cache import SqliteCache
 
 _BASE = {"P": 8, "St": 40.0, "So": 200.0, "C2": 0.0}
 
@@ -146,3 +149,136 @@ class TestRunSweep:
         warm = run_sweep(spec, cache=tmp_path)
         for a, b in zip(fresh, warm):
             assert a.values == b.values
+
+
+class _GetPutOnly:
+    """A delegating backend offering only get/put and stats, shaped like
+    a tracing wrapper around another store."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    @property
+    def stats(self):
+        return self.inner.stats
+
+    def get(self, key):
+        return self.inner.get(key)
+
+    def put(self, key, record) -> None:
+        self.inner.put(key, record)
+
+
+class _SpyCache(SqliteCache):
+    """A SqliteCache logging each batched call and its size."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.calls: list[tuple[str, int]] = []
+
+    def get_many(self, keys):
+        self.calls.append(("get_many", len(keys)))
+        return super().get_many(keys)
+
+    def put_many(self, items):
+        self.calls.append(("put_many", len(items)))
+        super().put_many(items)
+
+    def puts(self) -> list[int]:
+        return [n for name, n in self.calls if name == "put_many"]
+
+
+def _multiclass_spec(points=12):
+    return SweepSpec(
+        name="runner-mc", evaluator="multiclass-mva",
+        base={"N0": 6, "N1": 3, "Z0": 0.0, "Z1": 8.0, "D0_1": 1.0,
+              "D1_0": 2.0, "D1_1": 1.5, "method": "schweitzer"},
+        axes=(GridAxis("D0_0", tuple(np.linspace(0.5, 6.0, points))),),
+    )
+
+
+class TestBatchedCacheIO:
+    def test_get_put_only_backend_matches_batched_backend(self, tmp_path):
+        plain = _GetPutOnly(SqliteCache(tmp_path / "plain.sqlite"))
+        batched = SqliteCache(tmp_path / "batched.sqlite")
+        assert not hasattr(plain, "get_many")
+        for works in ((2.0, 64.0), (2.0, 64.0, 1024.0, 4096.0)):
+            spec = _model_spec(works=works)
+            a = run_sweep(spec, cache=plain)
+            b = run_sweep(spec, cache=batched)
+            assert [r.values for r in a] == [r.values for r in b]
+            assert [r.meta["key"] for r in a] == [r.meta["key"] for r in b]
+            for name in ("cache_hits", "cache_misses", "cache_writes",
+                         "cache_stats"):
+                assert a.metadata[name] == b.metadata[name]
+        assert b.metadata["cache_hits"] == 2
+        assert b.metadata["cache_writes"] == 2
+
+    def test_one_shot_sweep_reads_once_and_writes_once(self, tmp_path):
+        cache = _SpyCache(tmp_path / "cache.sqlite")
+        run_sweep(_model_spec(works=(2.0, 64.0)), cache=cache)
+        cache.calls.clear()
+        result = run_sweep(_model_spec(works=(2.0, 64.0, 1024.0, 4096.0)),
+                           cache=cache)
+        assert cache.calls == [("get_many", 4), ("put_many", 2)]
+        assert result.metadata["cache_writes"] == 2
+        cache.calls.clear()
+        run_sweep(_model_spec(works=(2.0, 64.0)), cache=cache)
+        assert cache.calls == [("get_many", 2)]  # all hits: no write
+
+    def test_staged_warm_sweep_writes_once(self, tmp_path):
+        cache = _SpyCache(tmp_path / "cache.sqlite")
+        spec = SweepSpec(
+            name="runner-staged", evaluator="alltoall-model",
+            base={"P": 32, "St": 40.0, "C2": 0.0},
+            axes=(GridAxis("W", tuple(np.linspace(2.0, 2048.0, 8))),
+                  GridAxis("So", (100.0, 300.0))),
+        )
+        result = run_sweep(spec, cache=cache, warm_start=True)
+        assert result.metadata["warm_start"]["chunks"] == 1
+        assert cache.calls == [("get_many", 16), ("put_many", 16)]
+
+    def test_pass_by_pass_warm_sweep_writes_once_per_pass(self, tmp_path):
+        cache = _SpyCache(tmp_path / "cache.sqlite")
+        result = run_sweep(_multiclass_spec(), cache=cache, warm_start=True)
+        passes = result.metadata["warm_start"]["chunks"]
+        assert passes > 1
+        assert cache.calls[0] == ("get_many", 12)
+        assert [name for name, _ in cache.calls[1:]] == ["put_many"] * passes
+        assert sum(cache.puts()) == 12
+
+    def test_live_chunked_sweep_writes_once_per_chunk(self, tmp_path):
+        cache = _SpyCache(tmp_path / "cache.sqlite")
+        log = EventLog()
+        spec = _model_spec(works=tuple(np.linspace(2.0, 2048.0, 40)))
+        run_sweep(spec, cache=cache, events=log)
+        chunks = [e["chunk_points"] for e in log.records
+                  if e["kind"] == "sweep.chunk"]
+        assert len(chunks) > 1
+        assert cache.calls[0] == ("get_many", 40)
+        assert cache.puts() == chunks
+        assert len(cache.calls) == 1 + len(chunks)
+
+    def test_interrupted_sweep_keeps_finished_dispatches(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.sweep.runner as runner_mod
+
+        calls = []
+        real = runner_mod.evaluate_batch
+
+        def fail_third(name, params_list):
+            calls.append(len(params_list))
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return real(name, params_list)
+
+        monkeypatch.setattr(runner_mod, "evaluate_batch", fail_third)
+        cache = SqliteCache(tmp_path / "cache.sqlite")
+        spec = _model_spec(works=tuple(np.linspace(2.0, 2048.0, 40)))
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_sweep(spec, cache=cache, events=EventLog())
+        assert len(cache) == calls[0] + calls[1]
+        monkeypatch.setattr(runner_mod, "evaluate_batch", real)
+        resumed = run_sweep(spec, cache=cache)
+        assert resumed.metadata["cache_hits"] == calls[0] + calls[1]
