@@ -37,6 +37,26 @@ def _grid(n_points=_POINTS, n_classes=2, n_centers=3, seed=20260729):
     return demands, populations, think_times
 
 
+def _slow_grid():
+    """The 400-point near-balanced two-bottleneck Schweitzer grid.
+
+    The grid ``perfbench``'s ``sweep-kernel`` workload and
+    ``bench_serve.py`` solve (20 think times x 20 populations): the
+    undamped fixed point needs ~740 iterations per point cold, so the
+    kernel's per-iteration loop dominates, unlike :func:`_grid`.
+    """
+    pops = np.linspace(4, 120, 20).round().astype(int)
+    thinks = np.linspace(0.0, 8.0, 20)
+    z0, n0 = np.meshgrid(thinks, pops, indexing="ij")
+    n_points = z0.size
+    populations = np.stack([n0.ravel(), np.full(n_points, 20)], axis=1)
+    think_times = np.stack([z0.ravel(), np.full(n_points, 1.0)], axis=1)
+    demands = np.broadcast_to(
+        np.array([[1.0, 0.95], [0.9, 1.0]]), (n_points, 2, 2)
+    )
+    return demands, populations, think_times
+
+
 def _best_of(func, repeats=3):
     """Min-of-N wall time (and last result) -- the speedup ratio must not
     hinge on one scheduler stall on a noisy CI runner."""
@@ -125,6 +145,56 @@ def test_batch_multiclass_amva_speedup(benchmark):
     assert speedup >= _SPEEDUP_FLOOR, (
         f"multi-class AMVA batch only {speedup:.1f}x scalar (floor "
         f"{_SPEEDUP_FLOOR:.0f}x) on {_POINTS} points"
+    )
+
+
+def test_batch_multiclass_amva_slow_grid_speedup(benchmark):
+    """batch_multiclass_amva >= 10x scalar on the slow-convergence grid.
+
+    The scalar leg solves a fixed 40-point subset (every 10th point),
+    checked bit-identical, and is scaled per point to the full grid.
+    """
+    demands, populations, think_times = _slow_grid()
+    n_points = demands.shape[0]
+    subset = np.arange(0, n_points, 10)
+
+    scalar_elapsed, scalar = _best_of(lambda: [
+        multiclass_amva(demands[i], populations[i], think_times[i],
+                        method="schweitzer")
+        for i in subset
+    ], repeats=2)
+    scalar_per_point = scalar_elapsed / subset.size
+
+    benchmark.pedantic(
+        batch_multiclass_amva,
+        args=(demands, populations, think_times),
+        kwargs={"method": "schweitzer"},
+        iterations=1,
+        rounds=3,
+    )
+    batch_elapsed, result = _best_of(
+        lambda: batch_multiclass_amva(demands, populations, think_times,
+                                      method="schweitzer")
+    )
+
+    for j, i in enumerate(subset):
+        assert np.array_equal(scalar[j].throughputs, result.throughputs[i])
+        assert np.array_equal(scalar[j].class_queue_lengths,
+                              result.class_queue_lengths[i])
+        assert np.array_equal(scalar[j].cycle_times, result.cycle_times[i])
+        assert scalar[j].iterations == result.iterations[i]
+        assert scalar[j].converged == bool(result.converged[i])
+
+    speedup = scalar_per_point * n_points / batch_elapsed
+    benchmark.extra_info["points"] = n_points
+    benchmark.extra_info["scalar_points"] = int(subset.size)
+    benchmark.extra_info["mean_iterations"] = float(result.iterations.mean())
+    benchmark.extra_info["scalar_points_per_sec"] = 1.0 / scalar_per_point
+    benchmark.extra_info["batch_points_per_sec"] = n_points / batch_elapsed
+    benchmark.extra_info["speedup"] = speedup
+    assert speedup >= _SPEEDUP_FLOOR, (
+        f"multi-class AMVA batch only {speedup:.1f}x scalar (floor "
+        f"{_SPEEDUP_FLOOR:.0f}x) on the {n_points}-point slow grid"
     )
 
 

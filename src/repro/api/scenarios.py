@@ -587,16 +587,16 @@ class WorkpileScenario(Scenario):
 # ---------------------------------------------------------------------------
 # Multi-class MVA (Chapter-6 heterogeneous studies)
 # ---------------------------------------------------------------------------
-def _multiclass_network_from_params(
-    params: Mapping[str, object],
-) -> tuple[list[list[float]], list[int], list[float], list[str] | None, str]:
-    """Decode a multi-class network from flat sweep parameters.
+#: The class- and centre-indexed multiclass keys: ``N{c}``, ``Z{c}``,
+#: ``D{c}_{k}``.
+_MULTICLASS_KEY = re.compile(r"N(\d+)|Z(\d+)|D(\d+)_(\d+)")
 
-    Classes and centres are encoded as JSON scalars so multi-class
-    networks stay sweepable and cacheable: populations ``N0, N1, ...``,
-    optional think times ``Z{c}`` (default 0), demands ``D{c}_{k}``, an
-    optional comma-separated ``kinds`` string and a ``method`` of
-    ``"exact"`` (default), ``"bard"`` or ``"schweitzer"``.
+
+def _multiclass_shape(params: Mapping[str, object]) -> tuple[int, int]:
+    """``(classes, centres)`` of a flat multi-class network's params.
+
+    Depends on the key set alone, so a sweep decodes it once per
+    distinct set of keys (see :func:`_multiclass_networks`).
     """
     n_classes = 0
     while f"N{n_classes}" in params:
@@ -616,7 +616,7 @@ def _multiclass_network_from_params(
     # a gapped index (a typo'd N2 without N1, a D0_3 without D0_2) would
     # otherwise silently drop part of the network from the solution.
     for key in params:
-        match = re.fullmatch(r"N(\d+)|Z(\d+)|D(\d+)_(\d+)", key)
+        match = _MULTICLASS_KEY.fullmatch(key)
         if match is None:
             continue
         n_idx, z_idx, d_cls, d_ctr = match.groups()
@@ -633,6 +633,25 @@ def _multiclass_network_from_params(
                 f"but only centres 0..{n_centers - 1} are defined -- "
                 "D0_0..D0_{k} must be contiguous"
             )
+    return n_classes, n_centers
+
+
+def _multiclass_network_from_params(
+    params: Mapping[str, object],
+    shape: tuple[int, int] | None = None,
+) -> tuple[list[list[float]], list[int], list[float], list[str] | None, str]:
+    """Decode a multi-class network from flat sweep parameters.
+
+    Classes and centres are encoded as JSON scalars so multi-class
+    networks stay sweepable and cacheable: populations ``N0, N1, ...``,
+    optional think times ``Z{c}`` (default 0), demands ``D{c}_{k}``, an
+    optional comma-separated ``kinds`` string and a ``method`` of
+    ``"exact"`` (default), ``"bard"`` or ``"schweitzer"``.  ``shape``
+    is ``_multiclass_shape(params)`` when the caller already has it.
+    """
+    n_classes, n_centers = (
+        _multiclass_shape(params) if shape is None else shape
+    )
     try:
         demands = [
             [float(params[f"D{c}_{k}"]) for k in range(n_centers)]
@@ -648,6 +667,23 @@ def _multiclass_network_from_params(
     kinds_param = params.get("kinds")
     kinds = str(kinds_param).split(",") if kinds_param else None
     return demands, populations, think_times, kinds, str(params.get("method", "exact"))
+
+
+def _multiclass_networks(
+    params_list: Sequence[Mapping[str, object]],
+) -> list[tuple[list[list[float]], list[int], list[float],
+                list[str] | None, str]]:
+    """:func:`_multiclass_network_from_params` over many points, checking
+    the class/centre layout once per distinct key set."""
+    shapes: dict[frozenset, tuple[int, int]] = {}
+    parsed = []
+    for params in params_list:
+        keys = frozenset(params)
+        shape = shapes.get(keys)
+        if shape is None:
+            shape = shapes[keys] = _multiclass_shape(params)
+        parsed.append(_multiclass_network_from_params(params, shape))
+    return parsed
 
 
 def _multiclass_values(res) -> dict[str, object]:
@@ -723,7 +759,7 @@ def _multiclass_solve_grouped(
     # (class-queue matrices from neighbouring solves) apply to the AMVA
     # groups only; the exact recursion has no fixed point to warm-start
     # and reports no state.
-    parsed = [_multiclass_network_from_params(p) for p in params_list]
+    parsed = _multiclass_networks(params_list)
     groups: dict[tuple, list[int]] = {}
     for i, (demands, populations, _, kinds, method) in enumerate(parsed):
         signature = (

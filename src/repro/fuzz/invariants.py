@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.api.scenarios import (
     _multiclass_network_from_params,
+    _multiclass_networks,
     general_network_from_params,
     machine_from_params,
 )
@@ -537,7 +538,7 @@ def _bulk_multiclass(
     report = ScenarioReport("multiclass")
     if not items:
         return report
-    parsed = [_multiclass_network_from_params(p) for p in items]
+    parsed = _multiclass_networks(items)
     groups: dict[tuple, list[int]] = {}
     for i, (demands, populations, _, kinds, _) in enumerate(parsed):
         signature = (

@@ -15,7 +15,9 @@ simultaneously:
   approximate-MVA fixed point with *per-point convergence masking*: a
   point freezes at exactly the iteration where the scalar solver would
   have stopped, so batch and scalar results agree bit-for-bit (the
-  update arithmetic is the same IEEE elementwise operations).
+  update arithmetic is the same IEEE elementwise operations).  The
+  iteration runs on a compacted active set (:func:`_iterate_compacted`):
+  only the points still iterating are touched.
 
 The multi-class solvers follow the same pattern one axis higher:
 ``demands`` is ``(points, classes, centres)`` and
@@ -264,6 +266,84 @@ def _overlay_seeds(
     return seeded
 
 
+def _add_reduce(a: np.ndarray, axis: int) -> np.ndarray:
+    """``np.add.reduce(a, axis=axis)``, bit for bit, cheaper over two terms.
+
+    On the kernels' small per-point axes a reduction runs one inner loop
+    per row, which dominates an iteration.  Over a length-2 axis the
+    reduction computes ``a0 + a1``, and IEEE addition is commutative, so
+    one elementwise add over all rows gives the same bits.  Longer axes
+    keep numpy's own summation order, which the scalar solvers share.
+    """
+    if a.shape[axis] != 2:
+        return np.add.reduce(a, axis=axis)
+    head = (slice(None),) * axis
+    return a[head + (0,)] + a[head + (1,)]
+
+
+def _row_max_abs(diff: np.ndarray) -> np.ndarray:
+    """Per-point ``max |diff|`` over every non-point axis.
+
+    A maximum is exact in any order, so the entries are laid out as
+    contiguous ``(entries, points)`` rows first and reduced across them:
+    one inner loop per entry instead of one per point.
+    """
+    flat = diff.reshape(diff.shape[0], -1).T
+    return np.maximum.reduce(np.abs(flat, order="C"), axis=0)
+
+
+def _iterate_compacted(
+    step,
+    rows: np.ndarray,
+    inputs: list[np.ndarray],
+    outputs: tuple[np.ndarray, ...],
+    iterations: np.ndarray,
+    converged: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> None:
+    """Run a masked AMVA fixed point on a compacted active set.
+
+    ``inputs`` are full-size per-point arrays, the first being the
+    fixed-point state; they are gathered at ``rows`` (the points still
+    iterating) into contiguous working arrays once.
+    ``step(*working)`` returns the per-row ``delta`` and a tuple of
+    per-row results whose first entry is the next state; the results
+    are scattered into the full-size ``outputs`` (same order) only on
+    an iteration where some row retires (``delta < tol``), after which
+    the survivors are compacted again.  Rows still iterating when
+    ``max_iter`` runs out are flushed with their last iterate.
+
+    A row's arithmetic never depends on which other rows share the
+    working set, so every row sees exactly the updates, stopping rule
+    and iteration count of a solve on its own.
+    """
+    if not rows.size:
+        return
+    working = [arr[rows] for arr in inputs]
+    results = None
+    for iteration in range(1, max_iter + 1):
+        delta, results = step(*working)
+        working[0] = results[0]
+        retired = delta < tol
+        if not np.logical_or.reduce(retired):
+            continue
+        for out, res in zip(outputs, results):
+            out[rows] = res
+        iterations[rows] = iteration
+        converged[rows[retired]] = True
+        results = None
+        keep = ~retired
+        rows = rows[keep]
+        if not rows.size:
+            return
+        working = [arr[keep] for arr in working]
+    if results is not None:
+        for out, res in zip(outputs, results):
+            out[rows] = res
+        iterations[rows] = max_iter
+
+
 def _batch_amva(
     demands: Sequence[Sequence[float]] | np.ndarray,
     populations: int | Sequence[int] | np.ndarray,
@@ -302,30 +382,27 @@ def _batch_amva(
 
     # Population-0 points are solved in closed form, like the scalar path.
     converged[pops == 0] = True
-    active = pops > 0
+    all_queueing = bool(is_queueing.all())
 
-    for iteration in range(1, max_iter + 1):
-        if not active.any():
-            break
-        idx = active
-        arrival = factors[idx, np.newaxis] * queues[idx]
-        resp = np.where(
-            is_queueing, demand_arr[idx] * (1.0 + arrival), demand_arr[idx]
-        )
-        total = thinks[idx] + resp.sum(axis=1)
-        x = pops[idx] / total
-        new_queues = x[:, np.newaxis] * resp
-        delta = np.max(np.abs(new_queues - queues[idx]), axis=1)
+    def step(q, d, f, z, n_f):
+        resp = d * (1.0 + f * q)
+        if not all_queueing:
+            resp = np.where(is_queueing, resp, d)
+        total = z + _add_reduce(resp, axis=1)
+        x = n_f / total
+        new_q = x[:, np.newaxis] * resp
+        return _row_max_abs(new_q - q), (new_q, resp, x, total)
 
-        queues[idx] = new_queues
-        responses[idx] = resp
-        throughput[idx] = x
-        cycle_time[idx] = total
-        iterations[idx] = iteration
-
-        done = np.flatnonzero(idx)[delta < tol]
-        converged[done] = True
-        active[done] = False
+    rows = np.flatnonzero(pops > 0)
+    _iterate_compacted(
+        step,
+        rows,
+        [queues, demand_arr,
+         np.broadcast_to(factors[:, np.newaxis], queues.shape), thinks,
+         pops.astype(float)],
+        (queues, responses, throughput, cycle_time),
+        iterations, converged, tol, max_iter,
+    )
 
     result = BatchMVAResult(
         method=method,
@@ -694,38 +771,35 @@ def batch_multiclass_amva(
     cycle_times = thinks + responses.sum(axis=2)
     iterations = np.zeros(n_points, dtype=np.int64)
     converged = np.zeros(n_points, dtype=bool)
-    active = np.ones(n_points, dtype=bool)
+    bard = method == "bard"
+    all_queueing = bool(is_queueing.all())
 
-    for iteration in range(1, max_iter + 1):
-        if not active.any():
-            break
-        idx = active
-        q = queues[idx]
-        total_q = q.sum(axis=1)
-        if method == "bard":
-            arrival = np.broadcast_to(
-                total_q[:, None, :], q.shape
-            )
+    # ``x`` is the throughput buffer, compacted with the other working
+    # arrays and reused across iterations: ``where=`` only ever writes
+    # the active classes, so inert-class entries keep their initial 0.
+    def step(q, d, sf, z, n_f, live, x):
+        total_q = _add_reduce(q, axis=1)[:, np.newaxis, :]
+        if bard:
+            arrival = total_q
         else:
-            arrival = (total_q[:, None, :] - q) + q * self_factor[idx][:, :, None]
-        resp = np.where(
-            is_queueing, demand_arr[idx] * (1.0 + arrival), demand_arr[idx]
-        )
-        totals = thinks[idx] + resp.sum(axis=2)
-        x = np.zeros(totals.shape)
-        np.divide(pop_f[idx], totals, out=x, where=active_classes[idx])
-        new_q = x[:, :, None] * resp
-        delta = np.max(np.abs(new_q - q), axis=(1, 2))
+            arrival = (total_q - q) + q * sf
+        resp = d * (1.0 + arrival)
+        if not all_queueing:
+            resp = np.where(is_queueing, resp, d)
+        totals = z + _add_reduce(resp, axis=2)
+        np.divide(n_f, totals, out=x, where=live)
+        new_q = x[:, :, np.newaxis] * resp
+        return _row_max_abs(new_q - q), (new_q, resp, x, totals)
 
-        queues[idx] = new_q
-        responses[idx] = resp
-        throughputs[idx] = x
-        cycle_times[idx] = totals
-        iterations[idx] = iteration
-
-        done = np.flatnonzero(idx)[delta < tol]
-        converged[done] = True
-        active[done] = False
+    _iterate_compacted(
+        step,
+        np.arange(n_points),
+        [queues, demand_arr,
+         np.broadcast_to(self_factor[:, :, np.newaxis], queues.shape),
+         thinks, pop_f, active_classes, np.zeros((n_points, n_classes))],
+        (queues, responses, throughputs, cycle_times),
+        iterations, converged, tol, max_iter,
+    )
 
     result = BatchMultiClassMVAResult(
         method=method,

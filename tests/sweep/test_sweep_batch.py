@@ -299,6 +299,24 @@ class TestMulticlassAndBoundsFastPath:
         with pytest.raises(ValueError, match="centre 2"):
             run_sweep(spec)
 
+    def test_multiclass_layout_checked_per_key_set(self):
+        """The batch decoder checks each distinct key set, not only the
+        first: a gapped point after valid ones is still rejected, and
+        points with different key sets decode like the scalar path."""
+        ok = {"N0": 2, "D0_0": 1.0, "method": "bard"}
+        with_z = dict(ok, Z0=3.0)
+        records = evaluators_mod.evaluate_batch(
+            "multiclass-mva", [ok, with_z, dict(ok, N0=4)]
+        )
+        for params, record in zip([ok, with_z, dict(ok, N0=4)], records):
+            scalar = evaluators_mod.evaluate_point(("multiclass-mva", params))
+            assert record["values"] == scalar["values"]
+        gapped = dict(ok, N2=1, D2_0=1.0)
+        with pytest.raises(ValueError, match="class 2"):
+            evaluators_mod.evaluate_batch(
+                "multiclass-mva", [ok, with_z, gapped]
+            )
+
     def test_multiclass_missing_class_demands_raise_value_error(self):
         spec = SweepSpec(
             name="mc-missing-row", evaluator="multiclass-mva",
