@@ -42,7 +42,8 @@ import numpy as np
 
 from repro.serve import Client, SweepService, make_server, serve_forever
 from repro.sweep import SweepSpec, run_sweep
-from repro.sweep.evaluators import evaluate_point, evaluator_defaults
+from repro.api.scenario import resolve_params
+from repro.sweep.evaluators import evaluate_point
 from repro.sweep.spec import GridAxis
 
 _THROUGHPUT_FLOOR = 0.8
@@ -217,7 +218,6 @@ def test_coalescing_ratio(benchmark, tmp_path):
 def test_lone_miss_latency(benchmark, tmp_path):
     """A lone served miss costs about one scalar solve (target 1.5x)."""
     base = {"P": 32, "St": 40.0, "So": 200.0, "C2": 0.0}
-    defaults = evaluator_defaults("alltoall-model")
     fresh = (dict(base, W=1000.0 + 0.5 * i) for i in range(1 << 20))
     service = SweepService(tmp_path / "cache.sqlite")
     try:
@@ -227,7 +227,8 @@ def test_lone_miss_latency(benchmark, tmp_path):
         # of many rounds are each side's cost with the host's noise
         # filtered out.
         for _ in range(200):
-            task = ("alltoall-model", dict(defaults, **next(fresh)))
+            task = ("alltoall-model",
+                    resolve_params("alltoall-model", next(fresh)))
             start = time.perf_counter()
             evaluate_point(task)
             scalar = min(scalar, time.perf_counter() - start)

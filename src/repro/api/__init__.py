@@ -27,9 +27,9 @@ Layers
 :mod:`repro.api.scenarios`
     The built-in workloads -- all-to-all, workpile, multi-class MVA,
     non-blocking -- each declaring schema + backends + batch kernels in
-    one class.  :mod:`repro.sweep.evaluators` registers these same
-    backends under their legacy string names, so facade and string
-    registry share one implementation and one result cache.
+    one class.  Each backend enters the one backend table under its
+    evaluator name, so the facade and name-keyed sweeps share one
+    implementation, one parameter check and one result cache.
 :mod:`repro.api.study`
     :class:`Study` -- sweeps expressed on the facade, compiled down to
     the existing :class:`~repro.sweep.spec.SweepSpec` runner (cache
@@ -43,8 +43,10 @@ from repro.api.scenario import (
     Scenario,
     UnsupportedBackend,
     find_backend,
+    get_backend,
     get_scenario_class,
     list_scenarios,
+    resolve_params,
     scenario,
 )
 from repro.api.solution import Solution
@@ -71,7 +73,9 @@ __all__ = [
     "UnsupportedBackend",
     "WorkpileScenario",
     "find_backend",
+    "get_backend",
     "get_scenario_class",
     "list_scenarios",
+    "resolve_params",
     "scenario",
 ]

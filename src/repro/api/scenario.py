@@ -7,9 +7,15 @@ parameter sets like the multi-class ``N{c}``/``D{c}_{k}`` encoding) and
 its :class:`Backend` implementations -- ``analytic``, ``bounds`` and
 ``sim`` functions with their result-affecting defaults and optional
 vectorized batch kernels.  The concrete declarations live in
-:mod:`repro.api.scenarios`; :mod:`repro.sweep.evaluators` registers the
-same backends under their legacy string names, so the facade and the
-string-keyed sweep API are two views of one registry.
+:mod:`repro.api.scenarios`.
+
+Defining a scenario class enters each of its backends into one
+name-keyed table, under the backend's evaluator name
+(``alltoall-model`` ...).  Runtime registrations through
+:func:`repro.sweep.evaluators.register_evaluator` join the same table
+with an open schema.  :func:`get_backend` reads it, and
+:func:`resolve_params` is the one parameter check every entry point
+runs: facade calls, sweep specs, served points and HTTP requests.
 
 Instantiating a scenario class (usually via the :func:`scenario`
 factory) binds parameter values::
@@ -29,10 +35,10 @@ runner exactly what the caller wrote, just like a hand-built
 
 from __future__ import annotations
 
+import math
 import re
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,8 +50,10 @@ __all__ = [
     "Scenario",
     "UnsupportedBackend",
     "find_backend",
+    "get_backend",
     "get_scenario_class",
     "list_scenarios",
+    "resolve_params",
     "scenario",
 ]
 
@@ -167,15 +175,16 @@ class Backend:
     ----------
     role:
         ``"analytic"``, ``"bounds"`` or ``"sim"`` -- the facade method
-        this backend serves.
+        this backend serves -- or ``"custom"`` for a runtime
+        :func:`~repro.sweep.evaluators.register_evaluator` registration,
+        which belongs to no scenario.
     evaluator:
-        Legacy registry name (:mod:`repro.sweep.evaluators` registers
-        ``func``/``batch`` under it, preserving every existing cache
-        key and spec file).
+        The backend's name in the backend table: what sweep specs,
+        served points and cache records call it.
     func:
         The point evaluator: flat params mapping -> flat values dict
-        (``_``-prefixed keys become metadata).  Exactly the callable the
-        string registry serves, so facade and legacy results are
+        (``_``-prefixed keys become metadata).  Facade calls and sweeps
+        reach it through the same table entry, so their results are
         bit-identical by construction.
     uses:
         Schema parameter names this backend consumes, or ``None`` for
@@ -185,7 +194,7 @@ class Backend:
         parameters.
     defaults:
         Result-affecting defaults, merged into the parameters *before*
-        cache keying (mirrors ``register_evaluator(defaults=...)``).
+        cache keying (see :func:`resolve_params`).
     batch:
         Optional vectorized companion over a list of param dicts
         (bit-identical values; the sweep runner's fast path).
@@ -227,9 +236,10 @@ class Backend:
     _HINT_SHAPES = ("increasing", "decreasing", "unimodal")
 
     def __post_init__(self) -> None:
-        if self.role not in ("analytic", "bounds", "sim"):
+        if self.role not in ("analytic", "bounds", "sim", "custom"):
             raise ValueError(
-                f"backend role must be analytic/bounds/sim, got {self.role!r}"
+                "backend role must be analytic/bounds/sim/custom, got "
+                f"{self.role!r}"
             )
         if not self.evaluator:
             raise ValueError("backend evaluator name must be non-empty")
@@ -255,6 +265,11 @@ class Backend:
 
 
 _SCENARIOS: dict[str, type["Scenario"]] = {}
+
+#: Evaluator name -> (owning scenario class, or None for an open
+#: schema, Backend).  Every backend lookup and parameter check reads
+#: this one table.
+_BACKENDS: dict[str, tuple["type[Scenario] | None", Backend]] = {}
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
@@ -330,6 +345,7 @@ class Scenario:
                             f"hints on undeclared parameter {key!r} "
                             f"(column {column!r})"
                         )
+        _register_backends(cls, cls.backends)
         _SCENARIOS[cls.name] = cls
 
     # -- schema helpers (classmethods: usable without parameters) ------
@@ -501,7 +517,7 @@ class Scenario:
                 raise TypeError(
                     f"parameter {name!r} expects an integer, got {value!r}"
                 )
-            if isinstance(value, float) and not np.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(
                     f"parameter {name!r} must be finite, got {value!r}"
                 )
@@ -531,17 +547,17 @@ class Scenario:
                 ) -> dict[str, object]:
         """The full parameter dict one ``role`` evaluation runs with.
 
-        Backend defaults first, then the bound parameters, then
-        ``overrides`` -- restricted to what the backend consumes, and
-        checked for missing required parameters.  This is byte-identical
-        to the params the sweep runner caches the same point under.
+        The bound parameters the backend consumes, then ``overrides``,
+        with the backend defaults merged under them and checked by
+        :func:`resolve_params`.  This is byte-identical to the params
+        the sweep runner caches the same point under.
         """
         cls = type(self)
         backend = cls.backend(role)
-        merged: dict[str, object] = dict(backend.defaults)
-        for key, value in self.given.items():
-            if cls.backend_accepts(backend, key):
-                merged[key] = value
+        params = {
+            key: value for key, value in self.given.items()
+            if cls.backend_accepts(backend, key)
+        }
         for key, value in dict(overrides or {}).items():
             if not cls.backend_accepts(backend, key):
                 raise ValueError(
@@ -550,50 +566,19 @@ class Scenario:
                 )
             checked = self._check_value(key, value)
             if checked is None:
-                merged.pop(key, None)  # explicit None unsets the parameter
+                params.pop(key, None)  # explicit None unsets the parameter
             else:
-                merged[key] = checked
-        missing = [
-            p.name
-            for p in cls.schema
-            if isinstance(p, Param)
-            and p.required
-            and cls.backend_accepts(backend, p.name)
-            and p.name not in merged
-        ]
-        if missing:
-            raise ValueError(
-                f"scenario {cls.name!r} {role} backend is missing required "
-                f"parameter(s): {', '.join(missing)}"
-            )
-        return merged
+                params[key] = checked
+        return resolve_params(backend.evaluator, params)
 
     def _solve(self, role: str, overrides: Mapping[str, object]) -> object:
-        # Deferred import: the evaluator shim imports the scenario
-        # declarations at its bottom, so this module cannot depend on it
-        # at import time.
+        # Deferred import: repro.sweep loads after this module.
         from repro.api.solution import Solution
-        from repro.sweep import evaluators
+        from repro.sweep.evaluators import evaluate_point
 
         backend = type(self).backend(role)
         params = self.resolve(role, overrides)
-        try:
-            registered = evaluators.get_evaluator(backend.evaluator)
-        except KeyError:
-            registered = None
-        if registered is backend.func:
-            # The normal path: one record shape, one timing convention,
-            # shared *by construction* with every sweep record.
-            record = evaluators.evaluate_point((backend.evaluator, params))
-        else:
-            # A scenario class declared outside the built-ins (or a
-            # test-patched registry): evaluate directly, through the
-            # same record splitter.
-            start = time.perf_counter()
-            raw = backend.func(params)
-            record = evaluators._split_record(
-                raw, time.perf_counter() - start
-            )
+        record = evaluate_point((backend.evaluator, params))
         return Solution(
             scenario=type(self).name,
             backend=role,
@@ -735,12 +720,95 @@ def list_scenarios() -> list[str]:
     return sorted(_SCENARIOS)
 
 
+def _register_backends(owner: "type[Scenario] | None",
+                       backends: Sequence[Backend]) -> None:
+    """Enter ``backends`` into the table under ``owner`` (None: an open
+    schema), all or none: a name already taken raises ValueError."""
+    entries: dict[str, tuple] = {}
+    for backend in backends:
+        taken = (entries.get(backend.evaluator)
+                 or _BACKENDS.get(backend.evaluator))
+        if taken is not None:
+            func = taken[1].func
+            raise ValueError(
+                f"evaluator {backend.evaluator!r} already registered by "
+                f"module {func.__module__} ({func.__qualname__}); pick a "
+                "different name"
+            )
+        entries[backend.evaluator] = (owner, backend)
+    _BACKENDS.update(entries)
+
+
+def _lookup(evaluator: str) -> tuple["type[Scenario] | None", Backend]:
+    try:
+        return _BACKENDS[evaluator]
+    except KeyError:
+        known = ", ".join(sorted(_BACKENDS)) or "(none)"
+        raise KeyError(
+            f"unknown evaluator {evaluator!r}; known: {known}"
+        ) from None
+
+
+def get_backend(evaluator: str) -> Backend:
+    """The backend registered under ``evaluator``; KeyError with the
+    known names otherwise."""
+    return _lookup(evaluator)[1]
+
+
 def find_backend(evaluator: str) -> tuple[type[Scenario], Backend] | None:
-    """Reverse lookup: the scenario class and backend registered under a
-    legacy evaluator name, or None for evaluators registered outside the
-    facade (``SweepResult.best`` uses this to type its winning row)."""
-    for cls in _SCENARIOS.values():
-        for backend in cls.backends:
-            if backend.evaluator == evaluator:
-                return cls, backend
-    return None
+    """The scenario class and backend registered under ``evaluator``, or
+    None for unknown names and runtime registrations with no scenario
+    (``SweepResult.best`` uses this to type its winning row)."""
+    owner, backend = _BACKENDS.get(evaluator, (None, None))
+    return None if owner is None else (owner, backend)
+
+
+def resolve_params(
+    evaluator: str,
+    params: Mapping[str, object],
+    steps: Iterable[Mapping[str, object]] = (),
+) -> dict[str, object]:
+    """The one parameter check: ``evaluator``'s defaults with ``params``
+    merged over them, validated against the owning scenario's schema.
+
+    For a backend a scenario declares, every key must be declared by the
+    schema and its value must pass the schema's type check, and every
+    required parameter the backend uses must be present after the
+    merge.  Keys the schema declares but this backend does not use are
+    accepted: a spec-level ``seed`` on a model sweep stays part of its
+    cache keys, as it always was.  Values are never rewritten, so valid
+    input keeps its cache keys byte for byte.  A runtime registration
+    has an open schema and only gets its defaults merged.
+
+    ``steps`` are assignments a sweep or search lays over ``params``
+    point by point (its axis steps).  Each is checked like ``params``
+    and its keys count as present, but none is merged, so a whole sweep
+    is checked once rather than point by point.
+
+    Raises KeyError for an unknown evaluator and ValueError/TypeError
+    for invalid parameters (the facade's messages).
+    """
+    owner, backend = _lookup(evaluator)
+    merged = dict(backend.defaults)
+    merged.update(params)
+    if owner is None:
+        return merged
+    present = set(merged)
+    for assignment in (params, *steps):
+        for key, value in assignment.items():
+            owner._check_value(key, value)
+        present.update(assignment)
+    missing = [
+        p.name
+        for p in owner.schema
+        if isinstance(p, Param)
+        and p.required
+        and owner.backend_accepts(backend, p.name)
+        and p.name not in present
+    ]
+    if missing:
+        raise ValueError(
+            f"scenario {owner.name!r} {backend.role} backend is missing "
+            f"required parameter(s): {', '.join(missing)}"
+        )
+    return merged

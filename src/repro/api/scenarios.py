@@ -7,12 +7,12 @@ closed-form bounds, and the event-driven simulation, each with its
 result-affecting defaults and -- where one exists -- the vectorized
 batch kernel the sweep runner fast-paths through.
 
-These declarations are the *single source of truth* for the evaluator
-registry: :mod:`repro.sweep.evaluators` registers every backend below
-under its legacy string name (``alltoall-model``, ``workpile-sim``,
-...), so hand-written :class:`~repro.sweep.spec.SweepSpec` files, the
-string-keyed ``register_evaluator`` API, and the fluent facade all hit
-the same functions and the same content-addressed cache records.
+These declarations are the *single source of truth* for the backend
+table: defining each class enters its backends under their evaluator
+names (``alltoall-model``, ``workpile-sim``, ...), so hand-written
+:class:`~repro.sweep.spec.SweepSpec` files, served points and the
+fluent facade all hit the same functions, the same schema check and
+the same content-addressed cache records.
 
 Parameter naming follows the paper throughout: ``P`` processors, ``St``
 wire latency, ``So`` handler occupancy, ``C2`` handler variability,
@@ -1072,7 +1072,7 @@ class NonBlockingScenario(Scenario):
     )
 
 
-#: Declaration order drives registration order in the legacy registry.
+#: The built-in scenario classes, in declaration order.
 SCENARIO_CLASSES: tuple[type[Scenario], ...] = (
     AllToAllScenario,
     SharedMemoryScenario,

@@ -7,7 +7,7 @@ backend that produced it, the fully-resolved parameters (explicit values
 plus the backend's result-affecting defaults, exactly what the sweep
 cache keys on), the value columns, and the evaluation metadata.
 
-Values are the *same* flat column dicts the legacy evaluators emit
+Values are the *same* flat column dicts the evaluators emit
 (``R``, ``X``, ``Rq`` ... in the paper's notation), so a ``Solution`` is
 interchangeable with a cached sweep record; :meth:`Solution.to_dict` /
 :meth:`Solution.from_dict` round-trip through plain JSON.  Columns are
@@ -51,7 +51,7 @@ class Solution:
         Which backend produced the values: ``"analytic"``, ``"bounds"``
         or ``"sim"``.
     evaluator:
-        The legacy evaluator name the backend registers as
+        The evaluator name the backend is registered under
         (``"alltoall-model"`` ...); with :attr:`params` this identifies
         the sweep-cache record the same evaluation would hit.
     params:

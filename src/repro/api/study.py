@@ -3,7 +3,7 @@
 A :class:`Study` is a scenario plus one or more swept axes.  It does no
 evaluation of its own: :meth:`Study.spec` compiles the scenario's bound
 parameters and the axes down to an ordinary
-:class:`~repro.sweep.spec.SweepSpec` naming the backend's legacy
+:class:`~repro.sweep.spec.SweepSpec` naming the backend's
 evaluator, and the run methods hand that spec to
 :func:`~repro.sweep.runner.run_sweep` -- so a study inherits the
 content-addressed result cache, the vectorized batch fast path, and the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.api.scenario import Param, Scenario
+from repro.api.scenario import Scenario, resolve_params
 from repro.api.solution import Solution
 from repro.sweep.results import SweepResult
 from repro.sweep.runner import CacheLike, run_sweep
@@ -158,21 +158,8 @@ class Study:
             for key, value in self.scenario.given.items()
             if cls.backend_accepts(backend, key) and key not in axis_names
         }
-        missing = [
-            p.name
-            for p in cls.schema
-            if isinstance(p, Param)
-            and p.required
-            and cls.backend_accepts(backend, p.name)
-            and p.name not in base
-            and p.name not in axis_names
-        ]
-        if missing:
-            raise ValueError(
-                f"scenario {cls.name!r} {role} study is missing required "
-                f"parameter(s): {', '.join(missing)} (bind them on the "
-                "scenario or sweep them on an axis)"
-            )
+        resolve_params(backend.evaluator, base,
+                       [step for axis in self.axes for step in axis.steps()])
         # The spec-level seed injects a derived per-point `seed` param;
         # on a backend that never reads one (the deterministic analytic
         # and bounds solvers) that would only fragment the cache and add

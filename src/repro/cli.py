@@ -216,10 +216,16 @@ def _sweep_metrics_payload(result) -> dict:
 
 def _run_sweep_file(args: argparse.Namespace) -> int:
     from repro.sweep import SweepSpec, run_sweep
+    from repro.sweep.runner import check_spec
 
     spec = SweepSpec.from_file(args.spec)
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
+    try:
+        check_spec(spec)  # an unknown evaluator still raises KeyError
+    except (ValueError, TypeError) as exc:
+        print(f"error: {args.spec}: {exc}", file=sys.stderr)
+        return 2
     result = run_sweep(spec, cache=_cache_from_args(args),
                        jobs=args.jobs if args.jobs is not None else 1,
                        warm_start=args.warm_start,

@@ -902,7 +902,8 @@ def _measured_values(
     """Sim values for one cross-check point, via the shared sweep cache.
 
     Routes the measurement through :func:`~repro.sweep.evaluators.
-    evaluate_point` with the evaluator's declared defaults merged, and
+    evaluate_point` with the parameters resolved by
+    :func:`~repro.api.scenario.resolve_params`, and
     stores the standard record shape under the standard
     :func:`~repro.sweep.cache.point_key` -- so fuzz cross-checks,
     sweeps, and the serve layer all share records.  The evaluator
@@ -911,10 +912,10 @@ def _measured_values(
     are bit-identical either way.
     """
     from repro.sweep.cache import SOLVER_VERSION, point_key
-    from repro.sweep.evaluators import evaluate_point, evaluator_defaults
+    from repro.api.scenario import resolve_params
+    from repro.sweep.evaluators import evaluate_point
 
-    full = evaluator_defaults(evaluator)
-    full.update(sim_params)
+    full = resolve_params(evaluator, sim_params)
     key = point_key(evaluator, full)
     record = cache.get(key)
     if record is None:

@@ -59,7 +59,7 @@ class BatchObjective:
         *,
         warm_start: bool = False,
     ) -> None:
-        from repro.api.scenario import Param, Scenario
+        from repro.api.scenario import Scenario, resolve_params
 
         if not isinstance(scenario, Scenario):
             raise TypeError(
@@ -89,26 +89,16 @@ class BatchObjective:
                     f"of scenario {cls.name!r}"
                 )
 
-        base: dict[str, object] = dict(self.backend.defaults)
-        for key, value in scenario.given.items():
-            if cls.backend_accepts(self.backend, key):
-                base[key] = value
+        # Axes shadow bound values, like Study; the box corner stands in
+        # for every candidate in the check.
+        base = resolve_params(
+            self.backend.evaluator,
+            {key: value for key, value in scenario.given.items()
+             if cls.backend_accepts(self.backend, key)},
+            [{ax.name: ax.value(ax.lo)} for ax in self.axes],
+        )
         for name in axis_names:
-            base.pop(name, None)  # axes shadow bound values, like Study
-        missing = [
-            p.name
-            for p in cls.schema
-            if isinstance(p, Param)
-            and p.required
-            and cls.backend_accepts(self.backend, p.name)
-            and p.name not in base
-            and p.name not in axis_names
-        ]
-        if missing:
-            raise ValueError(
-                f"scenario {cls.name!r} {role} backend is missing required "
-                f"parameter(s): {', '.join(missing)}"
-            )
+            base.pop(name, None)
         self.base = base
         self.warm_start = bool(warm_start) and self.backend.warm is not None
 

@@ -46,18 +46,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
+from repro.api.scenario import get_backend, resolve_params
 from repro.obs import EventLog, MetricsRegistry
 from repro.sweep.cache import CacheBackend, coerce_cache, point_key
 from repro.sweep.cache import SOLVER_VERSION
-from repro.sweep.evaluators import (
-    evaluate_batch,
-    evaluate_point,
-    evaluator_defaults,
-    get_batch_evaluator,
-    get_evaluator,
-)
+from repro.sweep.evaluators import evaluate_batch, evaluate_point
 from repro.sweep.results import SweepResult
-from repro.sweep.runner import run_sweep
+from repro.sweep.runner import check_spec, run_sweep
 from repro.sweep.spec import SweepSpec
 
 __all__ = ["Job", "PointOutcome", "SweepService"]
@@ -291,20 +286,23 @@ class SweepService:
         self._outstanding = 0  # pool jobs queued or running
 
     # -- point queries -------------------------------------------------
-    def point(self, evaluator: str, params: Mapping[str, object],
-              ) -> PointOutcome:
+    def point(self, evaluator: str, params: Mapping[str, object], *,
+              resolved: bool = False) -> PointOutcome:
         """Evaluate one point (cache -> singleflight -> batch/pool).
 
-        ``params`` plus the evaluator's declared defaults are keyed
-        exactly as the sweep runner keys them, so served points and
-        sweep points share cache records.
+        ``params`` go through :func:`~repro.api.scenario.resolve_params`
+        (defaults merged, parameters checked) before any work, and are
+        keyed exactly as the sweep runner keys them, so served points
+        and sweep points share cache records.  ``resolved=True`` marks
+        params that already came out of ``resolve_params`` or
+        :meth:`~repro.api.scenario.Scenario.resolve`; they are used as
+        given.
         """
         batcher = self._batcher
         batcher.arrive()
         try:
-            get_evaluator(evaluator)  # unknown-name errors before any work
-            merged = evaluator_defaults(evaluator)
-            merged.update(params)
+            merged = (dict(params) if resolved
+                      else resolve_params(evaluator, params))
             key = point_key(evaluator, merged)
             with self._flights_lock:
                 flight = self._flights.get(key)
@@ -350,7 +348,7 @@ class SweepService:
 
     def _dispatch(self, flight: _Flight) -> bool:
         """Route a leader's cache miss to the batch window or the pool."""
-        if get_batch_evaluator(flight.evaluator) is not None:
+        if get_backend(flight.evaluator).batch is not None:
             self.metrics.inc("serve.point.route.batch")
             return self._batcher.submit(flight)
         self.metrics.inc("serve.point.route.pool")
@@ -422,7 +420,9 @@ class SweepService:
 
         Either a ``scenario`` + ``backend`` role (resolved through the
         facade, so defaults and validation match ``scenario(...).
-        analytic()`` exactly) or a bare registry ``evaluator`` name.
+        analytic()`` exactly) or a bare ``evaluator`` name (checked by
+        :func:`~repro.api.scenario.resolve_params` against the schema
+        of the scenario that declares it).
         """
         from repro.api.scenario import find_backend, get_scenario_class
         from repro.api.solution import Solution
@@ -432,20 +432,17 @@ class SweepService:
             raise ValueError("pass exactly one of scenario= or evaluator=")
         if scenario is not None:
             cls = get_scenario_class(scenario)
-            instance = cls(**params)
-            spec_backend = cls.backend(backend)
-            full = instance.resolve(backend)
-            evaluator = spec_backend.evaluator
+            full = cls(**params).resolve(backend)
+            evaluator = cls.backend(backend).evaluator
             scenario_name, role = scenario, backend
         else:
-            full = dict(evaluator_defaults(evaluator))
-            full.update(params)
+            full = resolve_params(evaluator, params)
             found = find_backend(evaluator)
             if found is not None:
                 scenario_name, role = found[0].name, found[1].role
             else:
                 scenario_name, role = evaluator, "custom"
-        outcome = self.point(evaluator, full)
+        outcome = self.point(evaluator, full, resolved=True)
         return Solution(
             scenario=scenario_name,
             backend=role,
@@ -462,13 +459,10 @@ class SweepService:
 
         Batch-capable evaluators run *inline* (the job is already done
         when this returns -- one warm vectorized solve); sim evaluators
-        run asynchronously on the worker pool.
+        run asynchronously on the worker pool.  The spec is checked
+        (:func:`~repro.sweep.runner.check_spec`) before any job exists.
         """
-        get_evaluator(spec.evaluator)
-        route = (
-            "inline" if get_batch_evaluator(spec.evaluator) is not None
-            else "pool"
-        )
+        route = "inline" if check_spec(spec).batch is not None else "pool"
         with self._jobs_lock:
             self._job_seq += 1
             job = Job(f"job-{self._job_seq:04d}", spec,

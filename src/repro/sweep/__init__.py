@@ -59,14 +59,8 @@ from repro.sweep.evaluators import (
     evaluate_batch,
     evaluate_batch_warm,
     evaluate_point,
-    get_batch_evaluator,
-    get_evaluator,
-    get_warm_evaluator,
     list_evaluators,
-    register_batch_evaluator,
     register_evaluator,
-    register_warm_evaluator,
-    warm_supports_staging,
 )
 from repro.sweep.executors import ParallelExecutor, SerialExecutor, get_executor
 from repro.sweep.results import PointRecord, SweepResult
@@ -101,15 +95,9 @@ __all__ = [
     "evaluate_batch",
     "evaluate_batch_warm",
     "evaluate_point",
-    "get_batch_evaluator",
-    "get_evaluator",
     "get_executor",
-    "get_warm_evaluator",
     "list_evaluators",
     "point_key",
-    "register_batch_evaluator",
     "register_evaluator",
-    "register_warm_evaluator",
     "run_sweep",
-    "warm_supports_staging",
 ]

@@ -1,4 +1,4 @@
-"""Named point evaluators: the string-keyed registry the sweeps map over.
+"""Named point evaluators: the string-keyed dispatch the sweeps map over.
 
 An evaluator is a plain top-level function ``params -> values`` where
 both sides are flat JSON-serialisable mappings -- top-level so it
@@ -7,14 +7,16 @@ JSON-flat so results cache and export without adapters.  Value keys
 beginning with ``_`` (e.g. ``_events``) are lifted into the record's
 ``meta`` by :func:`evaluate_point` rather than appearing as columns.
 
-Since the scenario facade landed, this module is a *compatibility
-shim*: the built-in evaluators are declared once, as backends of the
-:class:`~repro.api.scenario.Scenario` classes in
-:mod:`repro.api.scenarios`, and registered here under their historical
-string names at import time.  Existing spec files, cached records and
-the ``register_evaluator`` API are unaffected -- same names, same
-parameters, same cache keys -- and runtime registration of new
-evaluators keeps working exactly as before.
+Every evaluator is a :class:`~repro.api.scenario.Backend` in the one
+name-keyed backend table of :mod:`repro.api.scenario`.  The built-ins
+are the backends the scenario classes in :mod:`repro.api.scenarios`
+declare, entered at class definition; :func:`register_evaluator` adds
+runtime ones with an open schema.
+:func:`~repro.api.scenario.get_backend` looks a name up and
+:func:`~repro.api.scenario.resolve_params` merges its defaults and
+checks parameters against the owning schema.  The ``evaluate_*``
+functions below dispatch already-resolved parameters and check
+nothing.
 
 Built-in evaluators (see :mod:`repro.api.scenarios` for the bodies)
 -------------------------------------------------------------------
@@ -33,15 +35,13 @@ Built-in evaluators (see :mod:`repro.api.scenarios` for the bodies)
 
 Batch capability
 ----------------
-Analytic evaluators can additionally *advertise batch capability* via
-:func:`register_batch_evaluator`: a companion function that takes the
-whole list of cache-miss parameter dicts and evaluates them in one
-vectorized call.  The sweep runner prefers the batch path when one is
-registered -- one masked numpy fixed point instead of thousands of
-scalar solves or process-pool round-trips -- and the values are
-bit-identical to the scalar evaluator's, so cache records from either
-path are interchangeable.  Simulation evaluators register no batch
-function and keep the pool.
+A backend's optional ``batch`` companion takes the whole list of
+cache-miss parameter dicts and evaluates them in one vectorized call.
+The sweep runner prefers it -- one masked numpy fixed point instead of
+thousands of scalar solves or process-pool round-trips -- and the
+values are bit-identical to the scalar evaluator's, so cache records
+from either path are interchangeable.  Simulation evaluators have no
+batch companion and keep the pool.
 """
 
 from __future__ import annotations
@@ -49,20 +49,19 @@ from __future__ import annotations
 import time
 from typing import Callable, Mapping, Sequence
 
+from repro.api.scenario import (
+    _BACKENDS,
+    Backend,
+    _register_backends,
+    get_backend,
+)
+
 __all__ = [
     "evaluate_batch",
     "evaluate_batch_warm",
     "evaluate_point",
-    "evaluator_defaults",
-    "get_batch_evaluator",
-    "get_evaluator",
-    "get_warm_evaluator",
     "list_evaluators",
-    "machine_from_params",
-    "register_batch_evaluator",
     "register_evaluator",
-    "register_warm_evaluator",
-    "warm_supports_staging",
 ]
 
 Evaluator = Callable[[Mapping[str, object]], dict[str, object]]
@@ -72,154 +71,60 @@ WarmBatchEvaluator = Callable[
     "tuple[list[dict[str, object]], list[object]]",
 ]
 
-_EVALUATORS: dict[str, Evaluator] = {}
-_BATCH_EVALUATORS: dict[str, BatchEvaluator] = {}
-_WARM_EVALUATORS: dict[str, WarmBatchEvaluator] = {}
-_STAGED_WARM: set[str] = set()
-_DEFAULTS: dict[str, dict[str, object]] = {}
-
 
 def register_evaluator(
-    name: str, defaults: Mapping[str, object] | None = None
+    name: str,
+    defaults: Mapping[str, object] | None = None,
+    *,
+    batch: BatchEvaluator | None = None,
+    warm: WarmBatchEvaluator | None = None,
+    staged: bool = False,
 ) -> Callable[[Evaluator], Evaluator]:
-    """Decorator adding a point evaluator to the registry.
+    """Decorator adding a point evaluator to the backend table.
 
     ``defaults`` declares result-affecting parameters the evaluator
-    fills in when a spec omits them.  The runner merges them into each
-    point's params *before* cache keying and dispatch, so an omitted
-    parameter and its explicit default hit the same cache record, and a
-    later change to a default cannot silently reuse stale records.
+    fills in when a spec omits them.  They are merged into each point's
+    params *before* cache keying and dispatch, so an omitted parameter
+    and its explicit default hit the same cache record, and a later
+    change to a default cannot silently reuse stale records.  The
+    evaluator has an open schema: its parameters are not checked.
 
-    Evaluators registered at runtime (outside this module) are only
-    visible to ``jobs > 1`` pools on fork-start platforms (Linux);
-    spawn-start workers re-import this module and see just the
-    built-ins.  Register in an importable module if that matters.
+    ``batch`` is an optional vectorized companion: it receives the full
+    list of a sweep's cache-miss parameter dicts and must return one
+    value dict per point, in order, bit-identical to the scalar path
+    (the runner caches both under the same keys).
+
+    ``warm`` is an optional warm-start companion of ``batch``: it
+    receives ``(params_list, seeds)`` -- one initial-state array or
+    ``None`` per point -- and returns ``(raw_values_list,
+    states_list)``.  A warm solve must converge to the same fixed point
+    as a cold one, and an all-``None`` seed list must be bit-identical
+    to ``batch``.  ``staged=True`` says ``warm`` also accepts a
+    ``stager`` keyword for :func:`repro.core.solver.
+    solve_fixed_point_batch`, so the runner can stage every refinement
+    pass inside one solver call.  :class:`~repro.api.scenario.Backend`
+    rejects ``warm`` without ``batch`` and ``staged`` without ``warm``.
+
+    Evaluators registered at runtime are only visible to ``jobs > 1``
+    pools on fork-start platforms (Linux); spawn-start workers
+    re-import the package and see just the built-ins.  Register in an
+    importable module if that matters.
     """
 
     def deco(func: Evaluator) -> Evaluator:
-        existing = _EVALUATORS.get(name)
-        if existing is not None:
-            raise ValueError(
-                f"evaluator {name!r} already registered by module "
-                f"{existing.__module__} ({existing.__qualname__}); "
-                "pick a different name"
-            )
-        _EVALUATORS[name] = func
-        if defaults:
-            _DEFAULTS[name] = dict(defaults)
+        _register_backends(None, [Backend(
+            role="custom", evaluator=name, func=func,
+            defaults=dict(defaults or {}), batch=batch, warm=warm,
+            staged=staged,
+        )])
         return func
 
     return deco
-
-
-def register_batch_evaluator(
-    name: str,
-) -> Callable[[BatchEvaluator], BatchEvaluator]:
-    """Decorator advertising batch capability for a registered evaluator.
-
-    The decorated function receives the full list of parameter dicts of
-    a sweep's cache misses and must return one value dict per point, in
-    order, with exactly the values the scalar evaluator would produce
-    (the runner caches them under the same keys).  Only register a batch
-    function whose output is bit-identical to the scalar path --
-    anything else silently forks cached and fresh results.
-    """
-
-    def deco(func: BatchEvaluator) -> BatchEvaluator:
-        get_evaluator(name)  # batch capability extends a scalar evaluator
-        existing = _BATCH_EVALUATORS.get(name)
-        if existing is not None:
-            raise ValueError(
-                f"batch evaluator {name!r} already registered by module "
-                f"{existing.__module__} ({existing.__qualname__}); "
-                "pick a different name"
-            )
-        _BATCH_EVALUATORS[name] = func
-        return func
-
-    return deco
-
-
-def get_batch_evaluator(name: str) -> BatchEvaluator | None:
-    """The batch companion of evaluator ``name``, or None."""
-    get_evaluator(name)  # consistent unknown-name behaviour
-    return _BATCH_EVALUATORS.get(name)
-
-
-def register_warm_evaluator(
-    name: str, staged: bool = False
-) -> Callable[[WarmBatchEvaluator], WarmBatchEvaluator]:
-    """Decorator advertising warm-start capability for a batch evaluator.
-
-    The decorated function receives ``(params_list, seeds)`` -- one
-    initial-state array or ``None`` per point -- and returns
-    ``(raw_values_list, states_list)``: the same value dicts the plain
-    batch companion produces plus each point's converged solver state
-    (an ndarray, or ``None`` where the point has no iterative state).
-    A warm solve must converge to the same fixed point as a cold one
-    (within solver tolerance), and an all-``None`` seed list must be
-    *bit-identical* to the plain batch path -- the runner caches warm
-    and cold records interchangeably under unchanged keys.
-
-    ``staged=True`` additionally advertises that the function accepts a
-    ``stager`` keyword and forwards it to
-    :func:`repro.core.solver.solve_fixed_point_batch`, letting the
-    runner stage all refinement passes inside one solver call instead
-    of dispatching pass by pass (see
-    :func:`~repro.sweep.evaluators.warm_supports_staging`).
-    """
-
-    def deco(func: WarmBatchEvaluator) -> WarmBatchEvaluator:
-        if _BATCH_EVALUATORS.get(name) is None:
-            get_evaluator(name)  # consistent unknown-name behaviour
-            raise ValueError(
-                f"evaluator {name!r} has no batch companion; warm-start "
-                "capability extends the batch path"
-            )
-        existing = _WARM_EVALUATORS.get(name)
-        if existing is not None:
-            raise ValueError(
-                f"warm evaluator {name!r} already registered by module "
-                f"{existing.__module__} ({existing.__qualname__}); "
-                "pick a different name"
-            )
-        _WARM_EVALUATORS[name] = func
-        if staged:
-            _STAGED_WARM.add(name)
-        return func
-
-    return deco
-
-
-def get_warm_evaluator(name: str) -> WarmBatchEvaluator | None:
-    """The warm-start companion of evaluator ``name``, or None."""
-    get_evaluator(name)  # consistent unknown-name behaviour
-    return _WARM_EVALUATORS.get(name)
-
-
-def warm_supports_staging(name: str) -> bool:
-    """Whether ``name``'s warm companion accepts a ``stager`` keyword."""
-    get_evaluator(name)  # consistent unknown-name behaviour
-    return name in _STAGED_WARM
-
-
-def evaluator_defaults(name: str) -> dict[str, object]:
-    """Declared result-affecting defaults of a registered evaluator."""
-    get_evaluator(name)
-    return dict(_DEFAULTS.get(name, {}))
-
-
-def get_evaluator(name: str) -> Evaluator:
-    try:
-        return _EVALUATORS[name]
-    except KeyError:
-        known = ", ".join(sorted(_EVALUATORS)) or "(none)"
-        raise KeyError(f"unknown evaluator {name!r}; known: {known}") from None
 
 
 def list_evaluators() -> list[str]:
     """Registered evaluator names, sorted so docs and CLI help are stable."""
-    return sorted(_EVALUATORS)
+    return sorted(_BACKENDS)
 
 
 def evaluate_point(task: tuple[str, dict]) -> dict[str, object]:
@@ -231,7 +136,7 @@ def evaluate_point(task: tuple[str, dict]) -> dict[str, object]:
     Top-level (not a closure) so it pickles into pool workers.
     """
     name, params = task
-    func = get_evaluator(name)
+    func = get_backend(name).func
     start = time.perf_counter()
     raw = func(params)
     wall = time.perf_counter() - start
@@ -260,7 +165,7 @@ def evaluate_batch(
     vectorized call (the quantity sweeps aggregate), and
     ``meta["batched"]`` marks the provenance.
     """
-    func = _BATCH_EVALUATORS.get(name)
+    func = get_backend(name).batch
     if func is None:
         raise KeyError(f"evaluator {name!r} has no batch companion")
     if not params_list:
@@ -298,10 +203,11 @@ def evaluate_batch_warm(
     typically stays all-``None`` and the stager synthesises seeds
     mid-solve.
     """
-    func = _WARM_EVALUATORS.get(name)
+    backend = get_backend(name)
+    func = backend.warm
     if func is None:
         raise KeyError(f"evaluator {name!r} has no warm-start companion")
-    if stager is not None and name not in _STAGED_WARM:
+    if stager is not None and not backend.staged:
         raise ValueError(
             f"warm evaluator {name!r} does not support staged activation"
         )
@@ -326,29 +232,3 @@ def evaluate_batch_warm(
     share = wall / len(params_list)
     records = [_split_record(raw, share, batched=True) for raw in raw_values]
     return records, states
-
-
-# ---------------------------------------------------------------------------
-# Built-in registration: one walk over the scenario declarations.
-#
-# These imports sit at the *bottom* deliberately: repro.api.study pulls
-# the runner (and therefore this module) back in, and the import cycle
-# only resolves because everything the runner needs is already defined
-# by the time the scenario classes load.  `machine_from_params` is
-# re-exported for compatibility -- it predates the facade.
-# ---------------------------------------------------------------------------
-from repro.api.scenarios import SCENARIO_CLASSES as _SCENARIO_CLASSES  # noqa: E402
-from repro.api.scenarios import machine_from_params  # noqa: E402,F401
-
-for _scenario_cls in _SCENARIO_CLASSES:
-    for _backend in _scenario_cls.backends:
-        register_evaluator(
-            _backend.evaluator, defaults=_backend.defaults or None
-        )(_backend.func)
-        if _backend.batch is not None:
-            register_batch_evaluator(_backend.evaluator)(_backend.batch)
-        if _backend.warm is not None:
-            register_warm_evaluator(
-                _backend.evaluator, staged=_backend.staged
-            )(_backend.warm)
-del _scenario_cls, _backend

@@ -2,7 +2,8 @@
 
 :func:`run_sweep` is the one entry point the experiments and CLI use:
 
-1. expand the :class:`~repro.sweep.spec.SweepSpec` into points;
+1. check the :class:`~repro.sweep.spec.SweepSpec` once against its
+   evaluator's schema (:func:`check_spec`) and expand it into points;
 2. look every point up in the (optional) content-addressed cache --
    one batched read for the whole sweep where the backend offers
    ``get_many`` (:func:`~repro.sweep.cache.get_many`);
@@ -45,6 +46,7 @@ from typing import Union
 
 import numpy as np
 
+from repro.api.scenario import Backend, get_backend, resolve_params
 from repro.obs import EventLog, MetricsRegistry, Telemetry, as_progress
 from repro.obs import context as _obs_context
 from repro.sweep.cache import (
@@ -56,20 +58,12 @@ from repro.sweep.cache import (
     point_key,
     put_many,
 )
-from repro.sweep.evaluators import (
-    evaluate_batch,
-    evaluate_batch_warm,
-    evaluator_defaults,
-    get_batch_evaluator,
-    get_evaluator,
-    get_warm_evaluator,
-    warm_supports_staging,
-)
+from repro.sweep.evaluators import evaluate_batch, evaluate_batch_warm
 from repro.sweep.executors import ParallelExecutor, SerialExecutor, get_executor
 from repro.sweep.results import PointRecord, SweepResult
 from repro.sweep.spec import SweepSpec
 
-__all__ = ["run_sweep"]
+__all__ = ["check_spec", "run_sweep"]
 
 CacheLike = Union[CacheBackend, ResultCache, str, Path, None]
 
@@ -674,6 +668,21 @@ def run_sweep(
             tel.events.close()
 
 
+def check_spec(spec: SweepSpec) -> Backend:
+    """Check a whole spec once with
+    :func:`~repro.api.scenario.resolve_params`: its base, every axis
+    step, and the per-point seed a spec-level ``seed`` adds.  Returns
+    the spec's backend; raises KeyError for an unknown evaluator and
+    ValueError/TypeError for invalid parameters.
+    """
+    base = dict(spec.base)
+    if spec.seed is not None:
+        base[spec.seed_param] = 0  # stands in for each derived int seed
+    resolve_params(spec.evaluator, base,
+                   [step for axis in spec.axes for step in axis.steps()])
+    return get_backend(spec.evaluator)
+
+
 def _run_sweep(
     spec: SweepSpec,
     cache: CacheLike,
@@ -683,8 +692,8 @@ def _run_sweep(
     warm_start: bool,
     tel: Telemetry | None,
 ) -> SweepResult:
-    get_evaluator(spec.evaluator)  # fail fast on unknown evaluators
-    defaults = evaluator_defaults(spec.evaluator)
+    backend = check_spec(spec)
+    defaults = backend.defaults
     use_batch = batch and executor is None
     if executor is None:
         executor = get_executor(jobs)
@@ -731,12 +740,8 @@ def _run_sweep(
             else:
                 misses.append((point.index, key, params))
 
-        batch_func = get_batch_evaluator(spec.evaluator) if use_batch else None
-        warm_func = (
-            get_warm_evaluator(spec.evaluator)
-            if warm_start and use_batch
-            else None
-        )
+        batch_func = backend.batch if use_batch else None
+        warm_func = backend.warm if warm_start and use_batch else None
         total = len(points)
         hits = total - len(misses)
         # Fresh records wait here until their dispatch finishes, then
@@ -827,11 +832,7 @@ def _run_sweep(
             miss_started = time.perf_counter()
             seeded_total = 0
             chunk_seeded: list[int] = []
-            stager = (
-                scheduler.stager()
-                if warm_supports_staging(spec.evaluator)
-                else None
-            )
+            stager = scheduler.stager() if backend.staged else None
             if stager is not None:
                 # Staged activation: every refinement pass rides one
                 # solver call -- later levels sit dormant inside the

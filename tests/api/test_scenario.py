@@ -16,7 +16,7 @@ from repro.api import (
     list_scenarios,
     scenario,
 )
-from repro.sweep.evaluators import evaluator_defaults, get_evaluator
+from repro.api.scenario import get_backend
 
 MACHINE = {"P": 16, "St": 40.0, "So": 200.0, "C2": 0.0}
 
@@ -38,6 +38,24 @@ class TestRegistry:
     def test_duplicate_scenario_name_rejected_naming_module(self):
         with pytest.raises(ValueError, match="repro.api.scenarios"):
             type("Dup", (Scenario,), {"name": "alltoall"})
+
+    def test_backend_name_collision_registers_nothing(self):
+        from repro.api import Backend, Param
+        from repro.api.scenario import _BACKENDS
+
+        with pytest.raises(ValueError, match="repro.api.scenarios"):
+            type("Clash", (Scenario,), {
+                "name": "clash-test",
+                "schema": (Param("W", float),),
+                "backends": (
+                    Backend(role="analytic", evaluator="clash-model",
+                            func=lambda p: {}),
+                    Backend(role="bounds", evaluator="alltoall-bounds",
+                            func=lambda p: {}),
+                ),
+            })
+        assert "clash-model" not in _BACKENDS
+        assert "clash-test" not in list_scenarios()
 
     def test_abstract_base_not_instantiable(self):
         with pytest.raises(TypeError, match="abstract"):
@@ -148,7 +166,7 @@ class TestResolve:
         sc = scenario("alltoall", W=64.0, **MACHINE)
         resolved = sc.resolve("sim")
         # Exactly what the sweep runner would cache the point under.
-        expected = dict(evaluator_defaults("alltoall-sim"))
+        expected = dict(get_backend("alltoall-sim").defaults)
         expected.update(sc.params)
         assert resolved == expected
 
@@ -211,7 +229,7 @@ class TestShimEquivalence:
                  "sim": "simulate"}[role]
         )()
         assert solution.evaluator == evaluator
-        raw = get_evaluator(evaluator)(sc.resolve(role))
+        raw = get_backend(evaluator).func(sc.resolve(role))
         expected_values = {k: v for k, v in raw.items()
                            if not k.startswith("_")}
         assert solution.values == expected_values  # bit-identical

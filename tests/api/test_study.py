@@ -18,14 +18,14 @@ from repro.sweep import (
     point_key,
     run_sweep,
 )
-from repro.sweep.evaluators import evaluator_defaults
+from repro.api.scenario import get_backend
 
 MACHINE = {"P": 16, "St": 40.0, "So": 200.0, "C2": 0.0}
 WORKS = (2, 64, 1024)
 
 
 def _legacy_keys(spec: SweepSpec) -> list[str]:
-    defaults = evaluator_defaults(spec.evaluator)
+    defaults = get_backend(spec.evaluator).defaults
     keys = []
     for pt in spec.points():
         params = dict(pt.params)

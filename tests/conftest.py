@@ -49,3 +49,33 @@ def algorithm() -> AlgorithmParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture
+def disable_evaluators(monkeypatch):
+    """Swap whole backends for ones whose every function fails the test.
+
+    ``disable(*names)`` replaces each named backend table entry (every
+    entry when no names are given) with a copy whose point, batch and
+    warm functions raise ``AssertionError`` -- companions the original
+    lacks stay absent, so routing is unchanged.  Restored at teardown.
+    """
+    from dataclasses import replace
+
+    from repro.api.scenario import _BACKENDS
+
+    def disable(*names: str) -> None:
+        for name in names or list(_BACKENDS):
+            owner, backend = _BACKENDS[name]
+
+            def explode(*args, _name=name, **kwargs):
+                raise AssertionError(f"evaluator {_name} ran")
+
+            monkeypatch.setitem(_BACKENDS, name, (owner, replace(
+                backend,
+                func=explode,
+                batch=explode if backend.batch is not None else None,
+                warm=explode if backend.warm is not None else None,
+            )))
+
+    return disable

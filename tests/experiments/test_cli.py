@@ -81,21 +81,17 @@ class TestRun:
         # table-3.1 takes no seed; the flag must not break it.
         assert main(["run", "table-3.1", "--seed", "5"]) == 0
 
-    def test_cache_dir_round_trip(self, tmp_path, capsys, monkeypatch):
+    def test_cache_dir_round_trip(self, tmp_path, capsys,
+                                  disable_evaluators):
         cache = tmp_path / "cache"
         assert main(["run", "fig-5.2", "--fast",
                      "--cache-dir", str(cache)]) == 0
         cold = capsys.readouterr().out
         assert any(cache.glob("*/*.json"))
         # The warm run must do zero solver/simulator work: kill every
-        # evaluator and it still has to succeed from the cache alone.
-        import repro.sweep.evaluators as evaluators_mod
-
-        def explode(task):
-            raise AssertionError("evaluator ran despite a warm cache")
-
-        for name in list(evaluators_mod._EVALUATORS):
-            monkeypatch.setitem(evaluators_mod._EVALUATORS, name, explode)
+        # backend (point, batch and warm functions) and it still has to
+        # succeed from the cache alone.
+        disable_evaluators()
         assert main(["run", "fig-5.2", "--fast",
                      "--cache-dir", str(cache)]) == 0
         warm = capsys.readouterr().out

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.api.scenario import _BACKENDS
 from repro.serve import Client, SweepService, make_server, serve_forever
 from repro.sweep import evaluators as ev
 
@@ -27,7 +28,7 @@ def make_evaluator():
 
     Returns ``(name, calls)`` where ``calls["point"]``/``calls["batch"]``
     count scalar and batch invocations (thread-safe).  Registrations are
-    removed again at teardown so the global registry stays pristine.
+    removed again at teardown so the backend table stays pristine.
     """
     registered: list[str] = []
 
@@ -37,7 +38,15 @@ def make_evaluator():
         lock = threading.Lock()
         calls = {"point": 0, "batch": 0}
 
-        @ev.register_evaluator(name, defaults)
+        def _batch(items):
+            with lock:
+                calls["batch"] += 1
+            if delay:
+                time.sleep(delay)
+            return [{"R": float(p.get("W", 0.0)) * 2.0} for p in items]
+
+        @ev.register_evaluator(name, defaults,
+                               batch=_batch if batch else None)
         def _point(params):
             with lock:
                 calls["point"] += 1
@@ -47,23 +56,12 @@ def make_evaluator():
                 raise RuntimeError("synthetic evaluator failure")
             return {"R": float(params.get("W", 0.0)) * 2.0}
 
-        if batch:
-            @ev.register_batch_evaluator(name)
-            def _batch(items):
-                with lock:
-                    calls["batch"] += 1
-                if delay:
-                    time.sleep(delay)
-                return [{"R": float(p.get("W", 0.0)) * 2.0} for p in items]
-
         registered.append(name)
         return name, calls
 
     yield factory
     for name in registered:
-        ev._EVALUATORS.pop(name, None)
-        ev._BATCH_EVALUATORS.pop(name, None)
-        ev._DEFAULTS.pop(name, None)
+        _BACKENDS.pop(name, None)
 
 
 @pytest.fixture

@@ -8,15 +8,12 @@ import time
 
 import pytest
 
+from repro.api.scenario import resolve_params
 from repro.api.scenarios import SCENARIO_CLASSES
 from repro.fuzz.generators import FUZZ_SCENARIOS, generate_points
 from repro.serve import SweepService
 from repro.sweep.cache import CacheStats, SqliteCache
-from repro.sweep.evaluators import (
-    evaluate_batch,
-    evaluate_point,
-    evaluator_defaults,
-)
+from repro.sweep.evaluators import evaluate_batch, evaluate_point
 from repro.sweep.spec import SweepSpec
 
 
@@ -290,8 +287,7 @@ class TestLoneMissFastPath:
         """What lets a lone miss skip the batch kernel: the scalar
         evaluator returns exactly the batch-of-one record."""
         for params in generate_points(scenario, 16, seed=12):
-            merged = evaluator_defaults(evaluator)
-            merged.update(params)
+            merged = resolve_params(evaluator, params)
             try:
                 scalar = evaluate_point((evaluator, merged))
             except Exception as exc:

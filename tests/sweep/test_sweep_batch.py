@@ -7,17 +7,18 @@ path.  Figure parity is covered at the table level too: the migrated
 analytic figure portions must render identically either way.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.sweep.evaluators as evaluators_mod
+from repro.api.scenario import _BACKENDS, get_backend
 from repro.experiments import format_table, get_experiment
 from repro.sweep import (
     GridAxis,
     ResultCache,
     SweepSpec,
     evaluate_batch,
-    get_batch_evaluator,
-    register_batch_evaluator,
     register_evaluator,
     run_sweep,
 )
@@ -34,36 +35,35 @@ class TestBatchRegistry:
     def test_analytic_evaluators_advertise_batch(self):
         for name in ("alltoall-model", "alltoall-bounds", "workpile-model",
                      "workpile-bounds", "multiclass-mva"):
-            assert get_batch_evaluator(name) is not None
+            assert get_backend(name).batch is not None
 
     def test_sim_evaluators_do_not(self):
         for name in ("alltoall-sim", "workpile-sim"):
-            assert get_batch_evaluator(name) is None
+            assert get_backend(name).batch is None
 
     def test_unknown_evaluator_raises(self):
-        with pytest.raises(KeyError, match="bogus"):
-            get_batch_evaluator("bogus")
+        with pytest.raises(KeyError, match="bogus.*known: alltoall-bounds"):
+            get_backend("bogus")
 
-    def test_batch_requires_scalar_first(self):
-        with pytest.raises(KeyError):
-            register_batch_evaluator("no-scalar-here")(lambda ps: [])
-
-    def test_duplicate_batch_registration_rejected(self, monkeypatch):
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "dup-test",
-                            lambda p: {})
-        register_batch_evaluator("dup-test")(lambda ps: [{} for _ in ps])
+    def test_duplicate_batch_registration_rejected(self):
+        register_evaluator("dup-test", batch=lambda ps: [{} for _ in ps])(
+            lambda p: {}
+        )
         try:
             with pytest.raises(ValueError, match="already registered"):
-                register_batch_evaluator("dup-test")(lambda ps: [])
+                register_evaluator("dup-test", batch=lambda ps: [])(
+                    lambda p: {}
+                )
         finally:
-            evaluators_mod._BATCH_EVALUATORS.pop("dup-test", None)
+            _BACKENDS.pop("dup-test", None)
 
-    def test_evaluate_batch_checks_length(self, monkeypatch):
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "short", lambda p: {})
-        monkeypatch.setitem(evaluators_mod._BATCH_EVALUATORS, "short",
-                            lambda ps: [{}])
-        with pytest.raises(ValueError, match="2 points"):
-            evaluate_batch("short", [{"a": 1}, {"a": 2}])
+    def test_evaluate_batch_checks_length(self):
+        register_evaluator("short", batch=lambda ps: [{}])(lambda p: {})
+        try:
+            with pytest.raises(ValueError, match="2 points"):
+                evaluate_batch("short", [{"a": 1}, {"a": 2}])
+        finally:
+            _BACKENDS.pop("short", None)
 
     def test_evaluate_batch_without_companion_raises(self):
         with pytest.raises(KeyError, match="batch companion"):
@@ -102,8 +102,9 @@ class TestRunnerFastPath:
         def explode(params):
             raise AssertionError("scalar evaluator ran on the batch path")
 
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "alltoall-model",
-                            explode)
+        owner, backend = _BACKENDS["alltoall-model"]
+        monkeypatch.setitem(_BACKENDS, "alltoall-model",
+                            (owner, replace(backend, func=explode)))
         result = run_sweep(_model_spec())
         assert result.metadata["cache_misses"] == 3
 
@@ -152,14 +153,13 @@ class TestRunnerFastPath:
     def test_registered_batch_capability_is_used(self, monkeypatch):
         calls = []
 
-        @register_evaluator("batch-cap-test")
-        def scalar(params):
-            return {"y": params["x"]}
-
-        @register_batch_evaluator("batch-cap-test")
         def batched(params_list):
             calls.append(len(params_list))
             return [{"y": p["x"]} for p in params_list]
+
+        @register_evaluator("batch-cap-test", batch=batched)
+        def scalar(params):
+            return {"y": params["x"]}
 
         try:
             spec = SweepSpec(name="cap", evaluator="batch-cap-test",
@@ -168,8 +168,7 @@ class TestRunnerFastPath:
             assert calls == [3]
             assert [r.values["y"] for r in result] == [1, 2, 3]
         finally:
-            evaluators_mod._EVALUATORS.pop("batch-cap-test", None)
-            evaluators_mod._BATCH_EVALUATORS.pop("batch-cap-test", None)
+            _BACKENDS.pop("batch-cap-test", None)
 
 
 class TestFigureParity:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sweep.evaluators import evaluate_point, get_evaluator, list_evaluators
+from repro.api.scenario import get_backend
+from repro.sweep.evaluators import evaluate_point, list_evaluators
 from repro.sweep.executors import ParallelExecutor, SerialExecutor, get_executor
 
 _BASE = {"P": 8, "St": 40.0, "So": 200.0, "C2": 0.0}
@@ -32,7 +33,7 @@ class TestEvaluators:
 
     def test_unknown_evaluator_raises_with_known_list(self):
         with pytest.raises(KeyError, match="alltoall-model"):
-            get_evaluator("nope")
+            get_backend("nope")
 
     def test_evaluate_point_splits_meta_values(self):
         record = evaluate_point(

@@ -7,7 +7,6 @@ warm cache performs zero cache misses (no solver/simulator work).
 
 import pytest
 
-import repro.sweep.evaluators as evaluators_mod
 from repro.experiments import format_table, get_experiment
 from repro.sweep import ResultCache
 
@@ -32,21 +31,17 @@ class TestFig52Parity:
             (c.name, c.passed) for c in serial.checks
         ]
 
-    def test_warm_cache_skips_all_work(self, serial, tmp_path, monkeypatch):
+    def test_warm_cache_skips_all_work(self, serial, tmp_path,
+                                       disable_evaluators):
         cache = ResultCache(tmp_path)
         cold = get_experiment("fig-5.2")(**_FAST, cache=cache)
         assert cache.stats.misses > 0
         assert format_table(cold) == format_table(serial)
 
-        # Second invocation: zero misses, and the evaluators never run.
+        # Second invocation: zero misses, and no backend function runs.
         cache.stats.misses = 0
-        for name in ("alltoall-model", "alltoall-sim", "alltoall-bounds"):
-            monkeypatch.setitem(
-                evaluators_mod._EVALUATORS, name,
-                lambda task, _n=name: (_ for _ in ()).throw(
-                    AssertionError(f"{_n} ran with a warm cache")
-                ),
-            )
+        disable_evaluators("alltoall-model", "alltoall-sim",
+                           "alltoall-bounds")
         warm = get_experiment("fig-5.2")(**_FAST, cache=cache)
         assert cache.stats.misses == 0
         assert format_table(warm) == format_table(serial)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.sweep.evaluators as evaluators_mod
 from repro.obs import EventLog
 from repro.sweep import (
     GridAxis,
@@ -67,16 +66,13 @@ class TestRunSweep:
         assert [r.values for r in cold] == [r.values for r in warm]
         assert all(r.meta["cached"] for r in warm)
 
-    def test_warm_cache_skips_evaluator_entirely(self, tmp_path, monkeypatch):
+    def test_warm_cache_skips_evaluator_entirely(self, tmp_path,
+                                                disable_evaluators):
         cache = ResultCache(tmp_path)
         spec = _sim_spec()
         run_sweep(spec, cache=cache)
 
-        def explode(task):
-            raise AssertionError(f"evaluator ran on warm cache: {task}")
-
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "alltoall-sim",
-                            explode)
+        disable_evaluators("alltoall-sim")
         warm = run_sweep(spec, cache=cache)
         assert warm.metadata["cache_misses"] == 0
 

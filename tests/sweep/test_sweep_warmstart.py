@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.scenario import _BACKENDS, Backend, get_backend
 from repro.obs import EventLog, MetricsRegistry
 from repro.sweep import (
     GridAxis,
     ResultCache,
     SweepSpec,
     evaluate_batch_warm,
-    get_warm_evaluator,
-    register_warm_evaluator,
+    register_evaluator,
     run_sweep,
 )
 from repro.sweep.runner import _WARM_GUARD, _column_seeds, _WarmScheduler
@@ -46,23 +46,39 @@ class TestWarmRegistry:
     def test_analytic_lopc_evaluators_advertise_warm(self):
         for name in ("alltoall-model", "sharedmem-model", "workpile-model",
                      "multiclass-mva"):
-            assert get_warm_evaluator(name) is not None
+            assert get_backend(name).warm is not None
 
     def test_bounds_and_sim_evaluators_do_not(self):
         for name in ("alltoall-bounds", "workpile-bounds", "alltoall-sim",
                      "workpile-sim", "nonblocking-model"):
-            assert get_warm_evaluator(name) is None
+            assert get_backend(name).warm is None
 
     def test_unknown_evaluator_raises(self):
         with pytest.raises(KeyError, match="bogus"):
-            get_warm_evaluator("bogus")
+            get_backend("bogus")
 
     def test_warm_requires_batch_companion(self):
-        # nonblocking-model is registered but has no batch companion.
         with pytest.raises(ValueError, match="batch"):
-            register_warm_evaluator("nonblocking-model")(
-                lambda ps, seeds: ([], [])
-            )
+            register_evaluator(
+                "warm-without-batch", warm=lambda ps, seeds: ([], [])
+            )(lambda p: {})
+        assert "warm-without-batch" not in _BACKENDS
+
+    def test_staged_requires_warm_companion(self):
+        with pytest.raises(ValueError, match="staged"):
+            register_evaluator(
+                "staged-without-warm", batch=lambda ps: [], staged=True
+            )(lambda p: {})
+        assert "staged-without-warm" not in _BACKENDS
+
+    def test_every_builtin_backend_is_its_table_entry(self):
+        from repro.api.scenarios import SCENARIO_CLASSES
+
+        backends = [b for cls in SCENARIO_CLASSES for b in cls.backends]
+        assert len(backends) == 11
+        for backend in backends:
+            assert isinstance(backend, Backend)
+            assert get_backend(backend.evaluator) is backend
 
     def test_seed_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -341,16 +357,13 @@ class TestStagedPipeline:
     """The staged single-call dispatch for staging-capable evaluators."""
 
     def test_staging_capability_registry(self):
-        from repro.sweep import warm_supports_staging
-
-        assert warm_supports_staging("alltoall-model")
-        assert warm_supports_staging("sharedmem-model")
+        staged = sorted(name for name, (_, backend) in _BACKENDS.items()
+                        if backend.staged)
         # The multi-class and workpile kernels run their own masked
         # loops, so their warm companions stay pass-by-pass.
-        assert not warm_supports_staging("multiclass-mva")
-        assert not warm_supports_staging("workpile-model")
+        assert staged == ["alltoall-model", "sharedmem-model"]
         with pytest.raises(KeyError, match="bogus"):
-            warm_supports_staging("bogus")
+            get_backend("bogus")
 
     def test_stager_rejected_for_unstaged_evaluator(self):
         with pytest.raises(ValueError, match="staged"):
