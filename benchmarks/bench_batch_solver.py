@@ -8,6 +8,11 @@ update sequence with per-point convergence masking.
 
 ``extra_info`` records points/sec for both paths so benchmark JSONs
 track the gap across PRs.
+
+The other way round, a batch of *one* point must not cost much more
+than the scalar evaluator: :func:`test_batch_of_one_overhead` gates
+``evaluate_batch(name, [p]) / evaluate_point((name, p))`` for the
+fixed-point evaluators.
 """
 
 import time
@@ -21,9 +26,18 @@ from repro.mva import (
     exact_mva,
 )
 from repro.sweep import GridAxis, SweepSpec, run_sweep
+from repro.sweep.evaluators import evaluate_batch, evaluate_point
 
 _POINTS = 1200
 _SPEEDUP_FLOOR = 10.0
+_BATCH_OF_ONE_CEILING = 2.5
+
+_MACHINE = {"P": 32, "St": 40.0, "So": 200.0, "C2": 0.0, "W": 1000.0}
+_ONE_POINT = {
+    "alltoall-model": _MACHINE,
+    "sharedmem-model": _MACHINE,
+    "workpile-model": dict(_MACHINE, Ps=4),
+}
 
 
 def _grid(n_points=_POINTS, n_centers=3, seed=20260729):
@@ -140,4 +154,38 @@ def test_sweep_fast_path_speedup(benchmark):
     assert speedup >= _SPEEDUP_FLOOR, (
         f"sweep fast path only {speedup:.1f}x point-wise dispatch "
         f"on {n_points} points"
+    )
+
+
+def test_batch_of_one_overhead(benchmark):
+    """A one-point ``evaluate_batch`` costs <= 2.5x ``evaluate_point``.
+
+    The two calls alternate and each keeps its best time, so a
+    scheduler stall on a busy runner hits neither side alone.
+    """
+    ratios = {}
+    for name, params in _ONE_POINT.items():
+        batch = evaluate_batch(name, [params])[0]
+        assert batch["values"] == evaluate_point((name, params))["values"]
+        batch_best = point_best = float("inf")
+        for _ in range(40):
+            start = time.perf_counter()
+            evaluate_batch(name, [params])
+            batch_best = min(batch_best, time.perf_counter() - start)
+            start = time.perf_counter()
+            evaluate_point((name, params))
+            point_best = min(point_best, time.perf_counter() - start)
+        ratios[name] = batch_best / point_best
+
+    benchmark.pedantic(
+        evaluate_batch, args=("alltoall-model", [_MACHINE]),
+        iterations=1, rounds=3,
+    )
+    for name, ratio in ratios.items():
+        benchmark.extra_info[f"batch_of_one_ratio[{name}]"] = ratio
+    over = {name: r for name, r in ratios.items()
+            if r > _BATCH_OF_ONE_CEILING}
+    assert not over, (
+        f"batch of one above {_BATCH_OF_ONE_CEILING}x the scalar path: "
+        + ", ".join(f"{name} {r:.2f}x" for name, r in over.items())
     )

@@ -26,7 +26,7 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.11",
-    install_requires=["numpy>=1.24"],
+    install_requires=["numpy>=1.24", "scipy>=1.10"],
     extras_require={
         "test": ["pytest>=7", "hypothesis>=6"],
     },

@@ -30,12 +30,17 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.api.scenario import Backend, Param, ParamFamily, Scenario
-from repro.core.alltoall import AllToAllModel, solve_batch
+from repro.core.alltoall import (
+    AllToAllModel,
+    alltoall_value_columns,
+    solve_batch_arrays,
+)
 from repro.core.client_server import (
     ClientServerModel,
     solve_workpile_batch,
@@ -44,7 +49,7 @@ from repro.core.client_server import (
 from repro.core.general import GeneralLoPCModel, solve_general_batch
 from repro.core.logp import LogPModel
 from repro.core.nonblocking import NonBlockingModel
-from repro.core.params import AlgorithmParams, LoPCParams, MachineParams
+from repro.core.params import AlgorithmParams, MachineParams
 from repro.core.rule_of_thumb import contention_bounds
 from repro.core.shared_memory import SharedMemoryModel
 from repro.mva.batch import batch_multiclass_amva, batch_multiclass_mva
@@ -140,17 +145,44 @@ def _alltoall_model(params: Mapping[str, object]) -> dict[str, object]:
     return _alltoall_values(sol)
 
 
+def _alltoall_solve(
+    params_list: Sequence[Mapping[str, object]],
+    protocol_processor: bool,
+    seeds: Sequence[object] | None = None,
+    stager: object | None = None,
+) -> tuple[list[dict[str, object]], np.ndarray]:
+    """Value records and ``[Rw, Rq, Ry]`` states of a batch of points.
+
+    The machine and work columns are checked as :class:`MachineParams`
+    and :class:`AlgorithmParams` would check them point by point; the
+    first offending point is rebuilt through those classes, so it
+    raises their exact ``ValueError``.
+    """
+    columns = np.array(
+        [(float(p["St"]), float(p["So"]), int(p["P"]),
+          float(p.get("C2", 0.0)), float(p["W"])) for p in params_list],
+        dtype=float,
+    ).reshape(-1, 5).T
+    st, so, procs, cv2, w = columns
+    bad = (st < 0) | (so <= 0) | (procs < 2) | (cv2 < 0) | (w < 0)
+    if bad.any():
+        first = params_list[int(np.argmax(bad))]
+        machine_from_params(first)
+        AlgorithmParams(work=float(first["W"]))
+    arrays = solve_batch_arrays(
+        w, st, so, cv2,
+        x0=None if seeds is None else _stack_seeds(seeds, (3,)),
+        stager=stager, protocol_processor=protocol_processor,
+    )
+    return alltoall_value_columns(arrays, w, st, so, procs), arrays["state"]
+
+
 def _alltoall_model_batch(
     params_list: Sequence[Mapping[str, object]],
+    *,
+    protocol_processor: bool = False,
 ) -> list[dict[str, object]]:
-    grid = [
-        LoPCParams(
-            machine=machine_from_params(params),
-            algorithm=AlgorithmParams(work=float(params["W"])),
-        )
-        for params in params_list
-    ]
-    return [_alltoall_values(sol) for sol in solve_batch(grid)]
+    return _alltoall_solve(params_list, protocol_processor)[0]
 
 
 def _stack_seeds(
@@ -174,34 +206,17 @@ def _stack_seeds(
     return x0
 
 
-def _alltoall_state(sol) -> np.ndarray:
-    """One point's fixed-point state ``[Rw, Rq, Ry]`` for warm-starting."""
-    return np.array(
-        [sol.compute_residence, sol.request_residence, sol.reply_residence]
-    )
-
-
 def _alltoall_model_warm(
     params_list: Sequence[Mapping[str, object]],
     seeds: Sequence[object],
     stager: object | None = None,
+    *,
+    protocol_processor: bool = False,
 ) -> tuple[list[dict[str, object]], list[np.ndarray]]:
-    grid = [
-        LoPCParams(
-            machine=machine_from_params(params),
-            algorithm=AlgorithmParams(work=float(params["W"])),
-        )
-        for params in params_list
-    ]
-    solutions = solve_batch(grid, x0=_stack_seeds(seeds, (3,)), stager=stager)
-    # One stacked extraction: a per-point _alltoall_state() np.array call
-    # is measurable overhead at dense-grid point counts.
-    states = np.column_stack([
-        [sol.compute_residence for sol in solutions],
-        [sol.request_residence for sol in solutions],
-        [sol.reply_residence for sol in solutions],
-    ])
-    return [_alltoall_values(sol) for sol in solutions], list(states)
+    values, states = _alltoall_solve(
+        params_list, protocol_processor, seeds, stager
+    )
+    return values, list(states)
 
 
 def _alltoall_bounds(params: Mapping[str, object]) -> dict[str, object]:
@@ -324,47 +339,6 @@ def _sharedmem_model(params: Mapping[str, object]) -> dict[str, object]:
     return _alltoall_values(sol)
 
 
-def _sharedmem_model_batch(
-    params_list: Sequence[Mapping[str, object]],
-) -> list[dict[str, object]]:
-    grid = [
-        LoPCParams(
-            machine=machine_from_params(params),
-            algorithm=AlgorithmParams(work=float(params["W"])),
-        )
-        for params in params_list
-    ]
-    # SharedMemoryModel delegates to AllToAllModel(protocol_processor=
-    # True) with identical solver settings, so the shared batch kernel
-    # is bit-identical to the scalar path here too.
-    return [
-        _alltoall_values(sol)
-        for sol in solve_batch(grid, protocol_processor=True)
-    ]
-
-
-def _sharedmem_model_warm(
-    params_list: Sequence[Mapping[str, object]],
-    seeds: Sequence[object],
-    stager: object | None = None,
-) -> tuple[list[dict[str, object]], list[np.ndarray]]:
-    grid = [
-        LoPCParams(
-            machine=machine_from_params(params),
-            algorithm=AlgorithmParams(work=float(params["W"])),
-        )
-        for params in params_list
-    ]
-    solutions = solve_batch(
-        grid, x0=_stack_seeds(seeds, (3,)), protocol_processor=True,
-        stager=stager,
-    )
-    return (
-        [_alltoall_values(sol) for sol in solutions],
-        [_alltoall_state(sol) for sol in solutions],
-    )
-
-
 class SharedMemoryScenario(Scenario):
     """Shared-memory node with a protocol processor (paper Section 5.1).
 
@@ -388,8 +362,11 @@ class SharedMemoryScenario(Scenario):
             evaluator="sharedmem-model",
             func=_sharedmem_model,
             uses=("P", "St", "So", "C2", "W"),
-            batch=_sharedmem_model_batch,
-            warm=_sharedmem_model_warm,
+            # SharedMemoryModel delegates to AllToAllModel(protocol_
+            # processor=True) with identical solver settings, so the
+            # shared batch kernel is bit-identical to the scalar path.
+            batch=partial(_alltoall_model_batch, protocol_processor=True),
+            warm=partial(_alltoall_model_warm, protocol_processor=True),
             staged=True,
             # Same symmetric pattern as alltoall (R constant in P).
             hints={

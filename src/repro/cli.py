@@ -214,6 +214,12 @@ def _sweep_metrics_payload(result) -> dict:
     return payload
 
 
+def _unknown_name(exc: KeyError, where: str = "") -> int:
+    """Report an unknown experiment, scenario or evaluator name; exit 2."""
+    print(f"error: {where}{exc.args[0]}", file=sys.stderr)
+    return 2
+
+
 def _run_sweep_file(args: argparse.Namespace) -> int:
     from repro.sweep import SweepSpec, run_sweep
     from repro.sweep.runner import check_spec
@@ -222,7 +228,9 @@ def _run_sweep_file(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
     try:
-        check_spec(spec)  # an unknown evaluator still raises KeyError
+        check_spec(spec)
+    except KeyError as exc:
+        return _unknown_name(exc, f"{args.spec}: ")
     except (ValueError, TypeError) as exc:
         print(f"error: {args.spec}: {exc}", file=sys.stderr)
         return 2
@@ -250,7 +258,10 @@ def _run_scenario(args: argparse.Namespace,
             cls = get_scenario_class(name)
             print(f"{name:<12} {cls.title}")
         return 0
-    cls = get_scenario_class(args.name)
+    try:
+        cls = get_scenario_class(args.name)
+    except KeyError as exc:
+        return _unknown_name(exc)
     if args.describe:
         print(cls.describe())
         return 0
@@ -342,7 +353,10 @@ def _run_optimize(args: argparse.Namespace,
     """``optimize``: the CLI face of ``scenario(...).optimize(...)``."""
     from repro.api import get_scenario_class
 
-    cls = get_scenario_class(args.name)
+    try:
+        cls = get_scenario_class(args.name)
+    except KeyError as exc:
+        return _unknown_name(exc)
     mode: dict[str, str] = {}
     over: dict[str, tuple[object, object]] = {}
     params: dict[str, object] = {}
@@ -572,7 +586,10 @@ def _run_query(args: argparse.Namespace,
     """
     from repro.api import get_scenario_class
 
-    cls = get_scenario_class(args.name)
+    try:
+        cls = get_scenario_class(args.name)
+    except KeyError as exc:
+        return _unknown_name(exc)
     mode: dict[str, str] = {}
     over: dict[str, tuple[object, object]] = {}
     params: dict[str, object] = {}
@@ -1072,6 +1089,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
+        try:
+            get_experiment(args.experiment)
+        except KeyError as exc:
+            return _unknown_name(exc)
         ok = _run_one(args.experiment, args)
         return 0 if ok else 1
 

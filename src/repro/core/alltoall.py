@@ -49,7 +49,12 @@ from repro.core.solver import solve_fixed_point, solve_fixed_point_batch
 from repro.mva.bkt import bkt_residence_time
 from repro.mva.residual import residual_correction
 
-__all__ = ["AllToAllModel", "solve_batch", "solve_batch_arrays"]
+__all__ = [
+    "AllToAllModel",
+    "alltoall_value_columns",
+    "solve_batch",
+    "solve_batch_arrays",
+]
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ def solve_batch_arrays(
     Inputs broadcast to a common ``(points,)`` shape: ``works`` (``W``),
     ``latencies`` (``St``), ``handler_times`` (``So``) and ``cv2s``
     (``C^2``) may each be a scalar or a vector.  The AMVA state
-    ``[Rw, Rq, Ry]`` for *all* points advances through one masked
+    ``[Rw, Rq, Ry]`` for *all* points advances through one compacted
     :func:`repro.core.solver.solve_fixed_point_batch` iteration; each
     point freezes at its scalar solver's convergence iteration, so the
     returned values are bit-identical to per-point
@@ -233,9 +238,10 @@ def solve_batch_arrays(
 
     Returns a mapping with ``(points,)`` arrays: ``R``, ``Rw``, ``Rq``,
     ``Ry``, ``Qq``, ``Qy``, ``Uq``, ``Uy``, ``iterations`` and
-    ``residual``.  (Throughput is ``P/R`` and depends on the per-point
-    processor count, which the fixed point itself never uses -- callers
-    holding ``P`` derive it.)
+    ``residual``, plus the ``(points, 3)`` fixed-point ``state``
+    ``[Rw, Rq, Ry]``.  (Throughput is ``P/R`` and depends on the
+    per-point processor count, which the fixed point itself never uses
+    -- callers holding ``P`` derive it.)
 
     A point whose iterates diverge to non-finite values (handler
     utilisation >= 1) raises
@@ -266,37 +272,43 @@ def solve_batch_arrays(
     if np.any(cv2 < 0):
         raise ValueError("handler_cv2 (C^2) must be >= 0")
 
+    st2, half_cv2 = 2.0 * st, 0.5 * (cv2 - 1.0)
+    gathered_for, gathered = None, ()
+
     def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        nonlocal gathered_for, gathered
+        if rows is not gathered_for:
+            # The solver passes one rows array until its working set
+            # changes, so the per-row parameters are gathered once per
+            # retirement, not once per iteration.
+            gathered_for = rows
+            gathered = st2[rows], so[rows], half_cv2[rows], w[rows]
+        st2_r, so_r, half_cv2_r, w_r = gathered
         rw, rq, ry = state[:, 0], state[:, 1], state[:, 2]
-        so_r, cv2_r, w_r = so[rows], cv2[rows], w[rows]
-        # Deliberately warning-free: divergent points produce inf/nan
-        # here and are frozen as failures by the batch kernel.
-        with np.errstate(all="ignore"):
-            r = rw + 2.0 * st[rows] + rq + ry  # Eq. 4.1
-            lam = 1.0 / r  # per-node arrival rate V*X = (1/P)(P/R)
-            uq = lam * so_r  # Eq. 5.4
-            qq = lam * rq  # Eq. 5.3
-            qy = lam * ry
-            rc = 0.5 * (cv2_r - 1.0) * uq  # residual correction, Uq == Uy
-            new_rq = so_r * (1.0 + qq + qy + rc + rc)  # Eq. 5.9
-            new_ry = so_r * (1.0 + qq + rc)  # Eq. 5.10
-            if protocol_processor:
-                new_rw = w_r  # shared-memory variant
-            else:
-                new_rw = (w_r + so_r * qq) / (1.0 - uq)  # BKT, Eq. 5.7
-        return np.column_stack([new_rw, new_rq, new_ry])
+        out = np.empty_like(state)
+        r = rw + st2_r + rq + ry  # Eq. 4.1
+        lam = 1.0 / r  # per-node arrival rate V*X = (1/P)(P/R)
+        uq = lam * so_r  # Eq. 5.4
+        qq = lam * rq  # Eq. 5.3
+        qy = lam * ry
+        rc = half_cv2_r * uq  # residual correction, Uq == Uy
+        np.multiply(so_r, 1.0 + qq + qy + rc + rc, out=out[:, 1])  # Eq. 5.9
+        np.multiply(so_r, 1.0 + qq + rc, out=out[:, 2])  # Eq. 5.10
+        if protocol_processor:
+            out[:, 0] = w_r  # shared-memory variant
+        else:
+            np.divide(w_r + so_r * qq, 1.0 - uq, out=out[:, 0])  # BKT, Eq. 5.7
+        return out
 
     # Contention-free starting point per point: [W, So, So].
     initial = np.column_stack([w, so, so])
-    result = solve_fixed_point_batch(
-        update,
-        initial,
-        x0=x0,
-        stager=stager,
-        damping=damping,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    # Deliberately warning-free: divergent points produce inf/nan in the
+    # map and are frozen as failures by the batch kernel.
+    with np.errstate(all="ignore"):
+        result = solve_fixed_point_batch(
+            update, initial, x0=x0, stager=stager, damping=damping,
+            tol=tol, max_iter=max_iter,
+        )
     rw, rq, ry = result.value[:, 0], result.value[:, 1], result.value[:, 2]
     r = rw + 2.0 * st + rq + ry
     lam = 1.0 / r
@@ -311,7 +323,44 @@ def solve_batch_arrays(
         "Uy": lam * so,
         "iterations": result.iterations,
         "residual": result.residual,
+        "state": result.value,
     }
+
+
+#: The ``alltoall-model`` value columns, in record order.
+_VALUE_COLUMNS = (
+    "R", "Rw", "Rq", "Ry", "X", "Uq", "Uy", "total_contention",
+    "compute_contention", "request_contention", "reply_contention",
+    "contention_fraction",
+)
+
+
+def alltoall_value_columns(
+    arrays: dict[str, np.ndarray],
+    works: np.ndarray,
+    latencies: np.ndarray,
+    handler_times: np.ndarray,
+    processors: np.ndarray,
+) -> list[dict[str, float]]:
+    """Per-point value records from :func:`solve_batch_arrays` output.
+
+    The value columns are derived as whole arrays -- ``X = P/R``
+    (Eq. 5.1) and the Figure 5-3 contention terms -- with the same IEEE
+    operations as the :class:`ModelSolution` properties, so each record
+    is bit-identical to the one read off a per-point solution.
+    """
+    r, rw, rq, ry = arrays["R"], arrays["Rw"], arrays["Rq"], arrays["Ry"]
+    total = r - (works + 2.0 * latencies + 2.0 * handler_times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = np.where(r <= 0, 0.0, total / r)
+    columns = (
+        r, rw, rq, ry, processors / r, arrays["Uq"], arrays["Uy"], total,
+        rw - works, rq - handler_times, ry - handler_times, fraction,
+    )
+    return [
+        dict(zip(_VALUE_COLUMNS, row))
+        for row in zip(*(col.tolist() for col in columns))
+    ]
 
 
 def solve_batch(

@@ -314,7 +314,7 @@ def solve_workpile_batch(
     """Solve many workpile ``(machine, W, Ps)`` points in one batch.
 
     Inputs broadcast to a common ``(points,)`` shape.  The scalar state
-    ``[Rs]`` of every point advances through one masked
+    ``[Rs]`` of every point advances through one compacted
     :func:`repro.core.solver.solve_fixed_point_batch` iteration, so each
     returned :class:`WorkpileSolution` is bit-identical to the matching
     ``ClientServerModel(machine, work).solve(servers)`` call, with
@@ -351,31 +351,37 @@ def solve_workpile_batch(
             f"{bad.tolist()}"
         )
     clients = p - ps
+    fixed, half_cv2 = w + 2.0 * st, 0.5 * (cv2 - 1.0)
+    gathered_for, gathered = None, ()
 
     def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        nonlocal gathered_for, gathered
+        if rows is not gathered_for:
+            # One gather per change of the solver's working set.
+            gathered_for = rows
+            gathered = (fixed[rows], so[rows], half_cv2[rows],
+                        clients[rows], ps[rows])
+        fixed_r, so_r, half_cv2_r, clients_r, ps_r = gathered
         rs = state[:, 0]
-        so_r, cv2_r = so[rows], cv2[rows]
-        with np.errstate(all="ignore"):
-            r = w[rows] + 2.0 * st[rows] + rs + so_r  # Eq. 6.7
-            lam = clients[rows] / r / ps[rows]  # per-server rate X/Ps
-            us = lam * so_r  # Eq. 6.4
-            qs = lam * rs  # Eq. 6.1 general form
-            rc = 0.5 * (cv2_r - 1.0) * us  # residual correction
-            new_rs = so_r * (1.0 + qs + rc)  # Eq. 6.5
+        r = fixed_r + rs + so_r  # Eq. 6.7
+        lam = clients_r / r / ps_r  # per-server rate X/Ps
+        us = lam * so_r  # Eq. 6.4
+        qs = lam * rs  # Eq. 6.1 general form
+        rc = half_cv2_r * us  # residual correction
+        new_rs = so_r * (1.0 + qs + rc)  # Eq. 6.5
         return new_rs[:, np.newaxis]
 
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim == 1:
             x0 = x0[:, np.newaxis]
-    result = solve_fixed_point_batch(
-        update,
-        so[:, np.newaxis].copy(),
-        x0=x0,
-        damping=damping,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    # Deliberately warning-free: divergent points produce inf/nan in the
+    # map and are frozen as failures by the batch kernel.
+    with np.errstate(all="ignore"):
+        result = solve_fixed_point_batch(
+            update, so[:, np.newaxis].copy(), x0=x0, damping=damping,
+            tol=tol, max_iter=max_iter,
+        )
     rs = result.value[:, 0]
     r = w + 2.0 * st + rs + so
     x = clients / r  # Eq. 6.2

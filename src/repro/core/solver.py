@@ -14,8 +14,8 @@ reproducible numerical strategies:
   analytically.
 * :func:`solve_fixed_point_batch` -- the vectorized counterpart of
   :func:`solve_fixed_point`: one damped iteration over a whole
-  ``(points, *dims)`` stack of independent maps with per-point
-  convergence masking, bit-identical to per-point scalar solves.
+  ``(points, *dims)`` stack of independent maps, compacted to the
+  points still running, bit-identical to per-point scalar solves.
   States may carry structure in the trailing axes (the multi-class
   ``(points, classes, centres)`` layout, or the general model's
   ``(points, 3, P)`` residence stack); the residual reduces over all of
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.obs import (
     TRAJECTORY_CAP,
@@ -208,6 +207,17 @@ class BatchFixedPointResult:
         return int(self.value.shape[0])
 
 
+def _row_max_abs(diff: np.ndarray) -> np.ndarray:
+    """Per-point ``max |diff|`` over every non-point axis.
+
+    A maximum is exact in any order, so the entries are laid out as
+    contiguous ``(entries, points)`` rows first and reduced across them:
+    one inner loop per entry instead of one per point.
+    """
+    flat = diff.reshape(diff.shape[0], -1).T
+    return np.maximum.reduce(np.abs(flat, order="C"), axis=0)
+
+
 def _apply_batch_seeds(
     x: np.ndarray, x0: np.ndarray | None
 ) -> "tuple[np.ndarray | None, np.ndarray]":
@@ -243,7 +253,7 @@ def solve_fixed_point_batch(
     max_iter: int = 20_000,
     raise_on_failure: bool = True,
 ) -> BatchFixedPointResult:
-    """Solve ``x_p = f(x_p)`` for many points in one masked iteration.
+    """Solve ``x_p = f(x_p)`` for many points in one compacted iteration.
 
     The vectorized counterpart of :func:`solve_fixed_point`: ``initial``
     is ``(points, dims)`` -- or, for structured states like the
@@ -259,12 +269,21 @@ def solve_fixed_point_batch(
     its own convergence iteration, so a batched solve is bit-identical
     to per-point scalar solves of the same map.
 
-    Points whose iterates go non-finite are frozen immediately with
-    ``residual = inf`` (the scalar solver raises at that moment; here the
-    remaining points keep iterating and the failure is reported at the
-    end).  When ``raise_on_failure`` is True, a :class:`ConvergenceError`
-    naming the failed point indices is raised after the loop if any point
-    failed to converge.
+    Only the active points are iterated, as one contiguous working set;
+    the full-size results are written, and the survivors compacted, on
+    an iteration where some point retires (and on the last one).  The
+    same ``indices`` object is passed, unmodified, until the working set
+    changes, so ``func`` may cache per-row gathers keyed on its
+    identity; its order need not be ascending.
+
+    Points whose iterates go non-finite are frozen immediately on their
+    previous iterate with ``residual = inf`` (the scalar solver raises
+    at that moment; here the remaining points keep iterating and the
+    failure is reported at the end).  One whole-array ``isfinite`` check
+    covers the all-finite case; rows are checked only when it fails.
+    When ``raise_on_failure`` is True, a :class:`ConvergenceError`
+    naming the failed point indices is raised after the loop if any
+    point failed to converge.
 
     ``x0`` supplies optional per-point warm-start states: a
     ``(points, *dims)`` array matching ``initial``'s shape in which a
@@ -287,12 +306,15 @@ def solve_fixed_point_batch(
       pairs of dormant row indices to activate now and their
       ``(len(rows), *dims)`` seed states (non-finite rows start cold).
 
-    Per-point iteration counts are measured from each point's
-    activation step, so telemetry means stay comparable with unstaged
-    solves.  If every active point retires while some are still
-    dormant, the remaining dormant points are force-activated cold
-    rather than stalling the solve.  ``stager=None`` leaves the solve
-    loop bit-identical to the unstaged path.
+    While points are dormant the full-size results are written every
+    iteration, so ``poll`` sees every point's current state; woken
+    points are appended to the working set.  Per-point iteration counts
+    are measured from each point's activation step, so telemetry means
+    stay comparable with unstaged solves.  If every active point retires
+    while some are still dormant, the remaining dormant points are
+    force-activated cold rather than stalling the solve.
+    ``stager=None`` leaves the solve loop bit-identical to the unstaged
+    path.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
@@ -305,18 +327,17 @@ def solve_fixed_point_batch(
     if x.ndim < 2:
         raise ValueError("initial must be a (points, *dims) array")
     n_points = x.shape[0]
-    # Residuals and finiteness reduce over every axis but the points one.
     point_axes = tuple(range(1, x.ndim))
     seeded, x = _apply_batch_seeds(x, x0)
 
     iterations = np.zeros(n_points, dtype=np.int64)
     residuals = np.full(n_points, np.inf)
     converged = np.zeros(n_points, dtype=bool)
-    active = np.ones(n_points, dtype=bool)
     # Activation step per point: iteration counts are reported relative
     # to it so staged points' telemetry matches a fresh solve's.
     activation = np.zeros(n_points, dtype=np.int64)
-    dormant = np.zeros(n_points, dtype=bool)
+    rows = np.arange(n_points)
+    staging = False
     if stager is not None:
         initial_active = np.asarray(stager.initial_active, dtype=bool)
         if initial_active.shape != (n_points,):
@@ -325,7 +346,8 @@ def solve_fixed_point_batch(
                 f"not match ({n_points},)"
             )
         dormant = ~initial_active
-        active &= initial_active
+        staging = bool(dormant.any())
+        rows = np.flatnonzero(initial_active)
         if seeded is None:
             seeded = np.zeros(n_points, dtype=bool)
 
@@ -334,63 +356,81 @@ def solve_fixed_point_batch(
         [] if tel is not None and tel.events is not None else None
     )
 
+    keep = 1.0 - damping
+    xw = x[rows]  # the working set: the active rows' states, contiguous
     for iteration in range(1, max_iter + 1):
-        if not active.any():
-            if not dormant.any():
+        if not rows.size:
+            if not staging:
                 break
             # Every active point retired before the remaining dormant
             # points' donors were ready: activate them cold instead of
             # stalling the solve.
-            activation[dormant] = iteration - 1
-            active[dormant] = True
-            dormant[:] = False
-        rows = np.flatnonzero(active)
-        xa = x[rows]
-        fx = np.asarray(func(xa, rows), dtype=float)
+            rows = np.flatnonzero(dormant)
+            activation[rows] = iteration - 1
+            dormant[rows] = False
+            staging = False
+            xw = x[rows]
+        fx = np.asarray(func(xw, rows), dtype=float)
         if fx.ndim < 2:
             fx = np.atleast_2d(fx)
-        if fx.shape != xa.shape:
+        if fx.shape != xw.shape:
             raise ValueError(
-                f"func returned shape {fx.shape}, expected {xa.shape}"
+                f"func returned shape {fx.shape}, expected {xw.shape}"
             )
-        finite = np.all(np.isfinite(fx), axis=point_axes)
-        scale = np.maximum(1.0, np.abs(xa))
-        with np.errstate(invalid="ignore"):
-            residual = np.max(np.abs(fx - xa) / scale, axis=point_axes)
-        new_x = (1.0 - damping) * xa + damping * fx
-        # Non-finite rows freeze on their *previous* iterate (the scalar
-        # solver raises before applying the update).
-        bad = rows[~finite]
-        residuals[bad] = np.inf
-        iterations[bad] = iteration - activation[bad]
-        active[bad] = False
-
-        good = finite
-        x[rows[good]] = new_x[good]
-        residuals[rows[good]] = residual[good]
-        iterations[rows[good]] = iteration - activation[rows[good]]
-        done = rows[good][residual[good] <= tol]
-        converged[done] = True
-        active[done] = False
+        scale = np.maximum(1.0, np.abs(xw))
+        new_x = keep * xw + damping * fx
+        if np.isfinite(fx).all():
+            res = _row_max_abs((fx - xw) / scale)
+            good = res
+            retired = done = res <= tol
+        else:
+            finite = np.isfinite(fx).reshape(len(fx), -1).all(axis=1)
+            with np.errstate(invalid="ignore"):
+                res = _row_max_abs((fx - xw) / scale)
+            good = res[finite]
+            # Non-finite rows freeze on their *previous* iterate (the
+            # scalar solver raises before applying the update).
+            new_x[~finite] = xw[~finite]
+            res[~finite] = np.inf
+            done = res <= tol
+            retired = done | ~finite
+        xw = new_x
         if trajectory is not None and len(trajectory) < TRAJECTORY_CAP:
-            finite_res = residual[good]
-            trajectory.append(
-                float(finite_res.max()) if finite_res.size else float("inf")
-            )
-        if dormant.any():
-            for wake_rows, wake_seeds in stager.poll(
-                x, residuals, active, dormant
-            ):
-                wake_rows = np.asarray(wake_rows, dtype=np.int64)
-                if not wake_rows.size:
-                    continue
-                wake_seeds = np.asarray(wake_seeds, dtype=float)
-                warm = np.all(np.isfinite(wake_seeds), axis=point_axes)
-                x[wake_rows[warm]] = wake_seeds[warm]
-                seeded[wake_rows[warm]] = True
-                activation[wake_rows] = iteration
-                dormant[wake_rows] = False
-                active[wake_rows] = True
+            trajectory.append(float(good.max()) if good.size else np.inf)
+        any_retired = np.logical_or.reduce(retired)
+        if not (any_retired or staging or iteration == max_iter):
+            continue
+        x[rows] = xw
+        residuals[rows] = res
+        iterations[rows] = iteration - activation[rows]
+        if any_retired:
+            converged[rows[done]] = True
+            rows, xw = rows[~retired], xw[~retired]
+        if not staging:
+            continue
+        active = np.zeros(n_points, dtype=bool)
+        active[rows] = True
+        woken = [rows]
+        for wake_rows, wake_seeds in stager.poll(
+            x, residuals, active, dormant
+        ):
+            wake_rows = np.asarray(wake_rows, dtype=np.int64)
+            if not wake_rows.size:
+                continue
+            wake_seeds = np.asarray(wake_seeds, dtype=float)
+            warm = np.all(np.isfinite(wake_seeds), axis=point_axes)
+            x[wake_rows[warm]] = wake_seeds[warm]
+            seeded[wake_rows[warm]] = True
+            activation[wake_rows] = iteration
+            dormant[wake_rows] = False
+            active[wake_rows] = True
+            woken.append(wake_rows)
+        if len(woken) > 1:
+            # Woken rows join the end of the working set; the rows
+            # already there keep their contiguous states.
+            rows = np.concatenate(woken)
+            xw = np.concatenate([xw, x[rows[len(xw):]]])
+            staging = bool(dormant.any())
 
     if tel is not None:
         observe_batch_solve(
@@ -441,6 +481,10 @@ def solve_scalar_fixed_point(
 
     Returns the root ``R*``.
     """
+    # Imported here: scipy.optimize costs about half a second of every
+    # process start, and only this bracketing solve needs it.
+    from scipy.optimize import brentq
+
     if lower >= upper:
         raise ValueError(f"need lower < upper, got [{lower!r}, {upper!r}]")
 

@@ -44,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.solver import _row_max_abs
 from repro.mva.amva import AMVAResult
 from repro.mva.multiclass import MultiClassAMVAResult, MultiClassMVAResult
 from repro.obs import context as _obs_context
@@ -279,17 +280,6 @@ def _add_reduce(a: np.ndarray, axis: int) -> np.ndarray:
         return np.add.reduce(a, axis=axis)
     head = (slice(None),) * axis
     return a[head + (0,)] + a[head + (1,)]
-
-
-def _row_max_abs(diff: np.ndarray) -> np.ndarray:
-    """Per-point ``max |diff|`` over every non-point axis.
-
-    A maximum is exact in any order, so the entries are laid out as
-    contiguous ``(entries, points)`` rows first and reduced across them:
-    one inner loop per entry instead of one per point.
-    """
-    flat = diff.reshape(diff.shape[0], -1).T
-    return np.maximum.reduce(np.abs(flat, order="C"), axis=0)
 
 
 def _iterate_compacted(

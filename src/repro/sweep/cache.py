@@ -37,6 +37,7 @@ import os
 import sqlite3
 import tempfile
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -346,13 +347,26 @@ class SqliteCache:
             self.path, timeout=_BUSY_TIMEOUT, isolation_level=None,
             check_same_thread=False,
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS records ("
-            "key TEXT PRIMARY KEY, record TEXT NOT NULL)"
-        )
-        return conn
+        # Switching a fresh file to WAL takes a lock sqlite's busy
+        # handler does not wait for, so processes opening one new file
+        # at once retry the set-up with a short backoff instead.
+        deadline = time.monotonic() + _BUSY_TIMEOUT
+        backoff = 0.001
+        while True:
+            try:
+                conn.executescript(
+                    "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; "
+                    "CREATE TABLE IF NOT EXISTS records ("
+                    "key TEXT PRIMARY KEY, record TEXT NOT NULL)"
+                )
+                return conn
+            except sqlite3.OperationalError as exc:
+                if (exc.sqlite_errorcode != sqlite3.SQLITE_BUSY
+                        or time.monotonic() >= deadline):
+                    conn.close()
+                    raise
+            time.sleep(backoff)
+            backoff = min(2.0 * backoff, 0.05)
 
     def _after_fork(self) -> None:
         """In a forked child, start an empty pool and a fresh lock."""

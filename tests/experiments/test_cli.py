@@ -32,9 +32,11 @@ class TestRun:
         out = capsys.readouterr().out
         assert "Workpile throughput" in out
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "fig-0.0"])
+    def test_unknown_experiment_errors(self, capsys):
+        assert main(["run", "fig-0.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'fig-0.0'")
+        assert "fig-5.2" in err
 
     def test_out_writes_files(self, tmp_path, capsys):
         assert main(["run", "table-3.1", "--out", str(tmp_path)]) == 0
@@ -189,9 +191,11 @@ class TestScenarioCommand:
                   "W=64", "cycles=30", "--backend", "sim",
                   "--sweep", "seed=1,2", "--seed", "3"])
 
-    def test_unknown_scenario_raises_with_known_list(self):
-        with pytest.raises(KeyError, match="alltoall"):
-            main(["scenario", "bogus", "P=2"])
+    def test_unknown_scenario_errors_with_known_list(self, capsys):
+        assert main(["scenario", "bogus", "P=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scenario 'bogus'")
+        assert "alltoall" in err
 
     def test_malformed_param_errors(self, capsys):
         with pytest.raises(SystemExit):
@@ -252,7 +256,9 @@ class TestSweepCommand:
         assert strip_timing(first, needle="elapsed") == strip_timing(
             second, needle="elapsed")
 
-    def test_sweep_unknown_evaluator_raises(self, tmp_path):
+    def test_sweep_unknown_evaluator_errors(self, tmp_path, capsys):
         spec = self._spec(tmp_path, evaluator="bogus")
-        with pytest.raises(KeyError, match="bogus"):
-            main(["sweep", str(spec)])
+        assert main(["sweep", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: unknown evaluator 'bogus'")
+        assert "alltoall-model" in err

@@ -417,8 +417,7 @@ class TestConcurrentProcesses:
         """4 processes share one database file; WAL serialises writers."""
         path = str(tmp_path / "cache.sqlite")
         # Create the store first: this test is about writers.  Several
-        # processes creating one fresh file at once is a separate race
-        # (open in ROADMAP.md).
+        # processes creating one fresh file at once is TestConcurrentOpen.
         SqliteCache(path).close()
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(4) as pool:
@@ -430,6 +429,39 @@ class TestConcurrentProcesses:
         assert len(cache) == 100
         for key in cache.keys():
             json.loads(cache.raw(key))  # every record parses whole
+
+
+def _open_fresh(path: str, worker: int, barrier) -> None:
+    """Top-level so it runs in a forked child: open a fresh store at
+    the same moment as the other workers, then write and read back."""
+    barrier.wait(30)
+    cache = SqliteCache(path)
+    key = point_key("ev", {"w": worker})
+    cache.put(key, _record(float(worker)))
+    assert cache.get(key) == _record(float(worker))
+    cache.close()
+
+
+class TestConcurrentOpen:
+    def test_processes_opening_one_fresh_file_all_succeed(self, tmp_path):
+        """4 processes start behind a barrier and open the same
+        not-yet-existing file: switching it to WAL takes a lock the
+        others may hold, so the set-up statements retry on
+        SQLITE_BUSY instead of failing with "database is locked"."""
+        ctx = multiprocessing.get_context("fork")
+        for trial in range(20):
+            path = str(tmp_path / f"fresh-{trial}.sqlite")
+            barrier = ctx.Barrier(4)
+            workers = [
+                ctx.Process(target=_open_fresh, args=(path, w, barrier))
+                for w in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+            assert [w.exitcode for w in workers] == [0, 0, 0, 0], trial
+            assert len(SqliteCache(path)) == 4
 
 
 class TestConnectionPool:

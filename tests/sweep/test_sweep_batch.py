@@ -70,6 +70,35 @@ class TestBatchRegistry:
             evaluate_batch("alltoall-sim", [{}])
 
 
+class TestAlltoallDomainChecks:
+    """The array-native alltoall/sharedmem companions reject the first
+    bad point with the exact error MachineParams/AlgorithmParams give."""
+
+    @pytest.mark.parametrize("name", ["alltoall-model", "sharedmem-model"])
+    @pytest.mark.parametrize("bad", [
+        {"P": 1}, {"St": -1.0}, {"So": 0.0}, {"C2": -0.5}, {"W": -3.0},
+    ])
+    def test_first_bad_point_raises_scalar_message(self, name, bad):
+        good = dict(_BASE, W=100.0)
+        first = dict(good, **bad)
+        # A later point breaks a different check: the first one wins.
+        later = dict(good, So=-1.0) if "So" not in bad else dict(good, P=0)
+        with pytest.raises(ValueError) as scalar:
+            evaluators_mod.evaluate_point((name, first))
+        with pytest.raises(ValueError) as batch:
+            evaluate_batch(name, [good, first, later])
+        assert str(batch.value) == str(scalar.value)
+
+    def test_nan_passes_checks_like_the_scalar_path(self):
+        # NaN fails no ordering check, so the solve itself fails on its
+        # non-finite iterates (the scalar path's BKT guard raises then).
+        from repro.core.solver import ConvergenceError
+
+        point = dict(_BASE, W=float("nan"))
+        with pytest.raises(ConvergenceError):
+            evaluate_batch("alltoall-model", [point])
+
+
 class TestRunnerFastPath:
     @pytest.mark.parametrize(
         "spec",
