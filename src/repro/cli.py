@@ -214,12 +214,6 @@ def _sweep_metrics_payload(result) -> dict:
     return payload
 
 
-def _unknown_name(exc: KeyError, where: str = "") -> int:
-    """Report an unknown experiment, scenario or evaluator name; exit 2."""
-    print(f"error: {where}{exc.args[0]}", file=sys.stderr)
-    return 2
-
-
 def _run_sweep_file(args: argparse.Namespace) -> int:
     from repro.sweep import SweepSpec, run_sweep
     from repro.sweep.runner import check_spec
@@ -229,10 +223,10 @@ def _run_sweep_file(args: argparse.Namespace) -> int:
         spec = spec.with_seed(args.seed)
     try:
         check_spec(spec)
-    except KeyError as exc:
-        return _unknown_name(exc, f"{args.spec}: ")
-    except (ValueError, TypeError) as exc:
-        print(f"error: {args.spec}: {exc}", file=sys.stderr)
+    except (KeyError, ValueError, TypeError) as exc:
+        # A KeyError's str() would quote its message.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {args.spec}: {message}", file=sys.stderr)
         return 2
     result = run_sweep(spec, cache=_cache_from_args(args),
                        jobs=args.jobs if args.jobs is not None else 1,
@@ -258,10 +252,7 @@ def _run_scenario(args: argparse.Namespace,
             cls = get_scenario_class(name)
             print(f"{name:<12} {cls.title}")
         return 0
-    try:
-        cls = get_scenario_class(args.name)
-    except KeyError as exc:
-        return _unknown_name(exc)
+    cls = get_scenario_class(args.name)
     if args.describe:
         print(cls.describe())
         return 0
@@ -353,10 +344,7 @@ def _run_optimize(args: argparse.Namespace,
     """``optimize``: the CLI face of ``scenario(...).optimize(...)``."""
     from repro.api import get_scenario_class
 
-    try:
-        cls = get_scenario_class(args.name)
-    except KeyError as exc:
-        return _unknown_name(exc)
+    cls = get_scenario_class(args.name)
     mode: dict[str, str] = {}
     over: dict[str, tuple[object, object]] = {}
     params: dict[str, object] = {}
@@ -586,10 +574,7 @@ def _run_query(args: argparse.Namespace,
     """
     from repro.api import get_scenario_class
 
-    try:
-        cls = get_scenario_class(args.name)
-    except KeyError as exc:
-        return _unknown_name(exc)
+    cls = get_scenario_class(args.name)
     mode: dict[str, str] = {}
     over: dict[str, tuple[object, object]] = {}
     params: dict[str, object] = {}
@@ -1088,11 +1073,18 @@ def main(argv: list[str] | None = None) -> int:
             print(experiment_id)
         return 0
 
-    if args.command == "run":
-        try:
+    # Unknown experiment and scenario names are usage errors, not crashes.
+    try:
+        if args.command == "run":
             get_experiment(args.experiment)
-        except KeyError as exc:
-            return _unknown_name(exc)
+        elif args.command in ("scenario", "optimize", "query") and args.name:
+            from repro.api import get_scenario_class
+            get_scenario_class(args.name)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+
+    if args.command == "run":
         ok = _run_one(args.experiment, args)
         return 0 if ok else 1
 

@@ -49,12 +49,8 @@ from repro.core.solver import solve_fixed_point, solve_fixed_point_batch
 from repro.mva.bkt import bkt_residence_time
 from repro.mva.residual import residual_correction
 
-__all__ = [
-    "AllToAllModel",
-    "alltoall_value_columns",
-    "solve_batch",
-    "solve_batch_arrays",
-]
+__all__ = ["AllToAllModel", "alltoall_value_columns", "solve_batch",
+           "solve_batch_arrays"]
 
 
 @dataclass(frozen=True)
@@ -273,25 +269,17 @@ def solve_batch_arrays(
         raise ValueError("handler_cv2 (C^2) must be >= 0")
 
     st2, half_cv2 = 2.0 * st, 0.5 * (cv2 - 1.0)
-    gathered_for, gathered = None, ()
 
     def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        nonlocal gathered_for, gathered
-        if rows is not gathered_for:
-            # The solver passes one rows array until its working set
-            # changes, so the per-row parameters are gathered once per
-            # retirement, not once per iteration.
-            gathered_for = rows
-            gathered = st2[rows], so[rows], half_cv2[rows], w[rows]
-        st2_r, so_r, half_cv2_r, w_r = gathered
+        so_r, w_r = so[rows], w[rows]
         rw, rq, ry = state[:, 0], state[:, 1], state[:, 2]
         out = np.empty_like(state)
-        r = rw + st2_r + rq + ry  # Eq. 4.1
+        r = rw + st2[rows] + rq + ry  # Eq. 4.1
         lam = 1.0 / r  # per-node arrival rate V*X = (1/P)(P/R)
         uq = lam * so_r  # Eq. 5.4
         qq = lam * rq  # Eq. 5.3
         qy = lam * ry
-        rc = half_cv2_r * uq  # residual correction, Uq == Uy
+        rc = half_cv2[rows] * uq  # residual correction, Uq == Uy
         np.multiply(so_r, 1.0 + qq + qy + rc + rc, out=out[:, 1])  # Eq. 5.9
         np.multiply(so_r, 1.0 + qq + rc, out=out[:, 2])  # Eq. 5.10
         if protocol_processor:

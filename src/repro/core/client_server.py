@@ -352,22 +352,14 @@ def solve_workpile_batch(
         )
     clients = p - ps
     fixed, half_cv2 = w + 2.0 * st, 0.5 * (cv2 - 1.0)
-    gathered_for, gathered = None, ()
 
     def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        nonlocal gathered_for, gathered
-        if rows is not gathered_for:
-            # One gather per change of the solver's working set.
-            gathered_for = rows
-            gathered = (fixed[rows], so[rows], half_cv2[rows],
-                        clients[rows], ps[rows])
-        fixed_r, so_r, half_cv2_r, clients_r, ps_r = gathered
-        rs = state[:, 0]
-        r = fixed_r + rs + so_r  # Eq. 6.7
-        lam = clients_r / r / ps_r  # per-server rate X/Ps
+        rs, so_r = state[:, 0], so[rows]
+        r = fixed[rows] + rs + so_r  # Eq. 6.7
+        lam = clients[rows] / r / ps[rows]  # per-server rate X/Ps
         us = lam * so_r  # Eq. 6.4
         qs = lam * rs  # Eq. 6.1 general form
-        rc = half_cv2_r * us  # residual correction
+        rc = half_cv2[rows] * us  # residual correction
         new_rs = so_r * (1.0 + qs + rc)  # Eq. 6.5
         return new_rs[:, np.newaxis]
 

@@ -272,9 +272,7 @@ def solve_fixed_point_batch(
     Only the active points are iterated, as one contiguous working set;
     the full-size results are written, and the survivors compacted, on
     an iteration where some point retires (and on the last one).  The
-    same ``indices`` object is passed, unmodified, until the working set
-    changes, so ``func`` may cache per-row gathers keyed on its
-    identity; its order need not be ascending.
+    order of ``indices`` need not be ascending.
 
     Points whose iterates go non-finite are frozen immediately on their
     previous iterate with ``residual = inf`` (the scalar solver raises

@@ -41,8 +41,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import (
+    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -92,22 +94,54 @@ _INHERITED: "list[sqlite3.Connection]" = []
 SOLVER_VERSION = "2"
 
 
-#: The encoder behind :func:`canonical_json` and :func:`point_key`,
-#: built once: ``json.dumps`` with non-default options builds a fresh
-#: ``JSONEncoder`` on every call.
-_CANONICAL = json.JSONEncoder(
+def _one_shot(encoder: json.JSONEncoder) -> Callable[[object], str]:
+    """``encoder.encode`` with its C encoder built once, not per call.
+
+    Built without circular-reference markers (the stores encode plain
+    JSON trees), so no state is shared between calls or threads.
+    """
+    if c_make_encoder is None:
+        return encoder.encode
+    c_encode = c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan,
+    )
+    return lambda obj: "".join(c_encode(obj, 0))
+
+
+#: The encoder behind :func:`canonical_json` and :func:`point_key`.
+_CANONICAL = _one_shot(json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), allow_nan=False
-)
+))
 
 #: The encoder of stored record text: the same output as
 #: ``json.dumps(record, sort_keys=True, allow_nan=False)``, which is
 #: what makes the two backends' stored bytes identical.
-_RECORD = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_RECORD = _one_shot(json.JSONEncoder(sort_keys=True, allow_nan=False))
+
+#: The scanner behind ``json.loads``, without the wrapper's overhead.
+_SCAN = json.JSONDecoder().scan_once
 
 
 def canonical_json(obj: object) -> str:
     """Deterministic JSON: sorted keys, compact separators, no NaN."""
-    return _CANONICAL.encode(obj)
+    return _CANONICAL(obj)
+
+
+def _loads(text: str) -> object:
+    """``json.loads(text)``, through the scanner directly.
+
+    Text the scanner does not take whole (a corrupt record, surrounding
+    whitespace) goes through ``json.loads``, which raises or strips it.
+    """
+    try:
+        obj, end = _SCAN(text, 0)
+        if end == len(text):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(text)
 
 
 def point_key(
@@ -123,12 +157,12 @@ def point_key(
     fixed frame around the canonical params instead of encoding a
     wrapper dict -- the same bytes, for less work per key.
     """
-    encode = _CANONICAL.encode
     payload = (
-        '{"evaluator":' + encode(evaluator)
+        '{"evaluator":' + encode_basestring_ascii(evaluator)
         + ',"params":'
-        + encode(params if type(params) is dict else dict(params))
-        + ',"solver_version":' + encode(solver_version) + "}"
+        + canonical_json(params if type(params) is dict else dict(params))
+        + ',"solver_version":' + encode_basestring_ascii(solver_version)
+        + "}"
     )
     return sha256(payload.encode("utf-8")).hexdigest()
 
@@ -223,7 +257,7 @@ class ResultCache:
         """
         path = self._path(key)
         try:
-            record = json.loads(path.read_text())
+            record = _loads(path.read_text())
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -238,7 +272,7 @@ class ResultCache:
         """Atomically persist ``record`` under ``key``."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        data = _RECORD.encode(record)
+        data = _RECORD(record)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
@@ -361,7 +395,7 @@ class SqliteCache:
                 )
                 return conn
             except sqlite3.OperationalError as exc:
-                if (exc.sqlite_errorcode != sqlite3.SQLITE_BUSY
+                if ((exc.sqlite_errorcode & 0xFF) != sqlite3.SQLITE_BUSY
                         or time.monotonic() >= deadline):
                     conn.close()
                     raise
@@ -424,7 +458,7 @@ class SqliteCache:
             record = None
             if row is not None:
                 try:
-                    record = json.loads(row[0])
+                    record = _loads(row[0])
                 except json.JSONDecodeError:
                     conn.execute("DELETE FROM records WHERE key = ?", (key,))
         finally:
@@ -438,7 +472,7 @@ class SqliteCache:
 
     def put(self, key: str, record: Mapping[str, object]) -> None:
         """Persist ``record`` under ``key`` (atomic; upsert on replays)."""
-        data = _RECORD.encode(record)
+        data = _RECORD(record)
         conn = self._checkout()
         try:
             conn.execute(_UPSERT, (key, data))
@@ -478,7 +512,7 @@ class SqliteCache:
             record = None
             if text is not None and key not in corrupt:
                 try:
-                    record = json.loads(text)
+                    record = _loads(text)
                 except json.JSONDecodeError:
                     corrupt.add(key)
             records.append(record)
@@ -507,7 +541,7 @@ class SqliteCache:
         IMMEDIATE`` / upsert-all / ``COMMIT`` persists them; any error
         inside the transaction rolls it back.
         """
-        rows = [(key, _RECORD.encode(record)) for key, record in items]
+        rows = [(key, _RECORD(record)) for key, record in items]
         if not rows:
             return
         conn = self._checkout()

@@ -145,12 +145,10 @@ def evaluate_point(task: tuple[str, dict]) -> dict[str, object]:
 
 def _split_record(raw: Mapping[str, object], wall: float,
                   batched: bool = False) -> dict[str, object]:
+    values = {k: v for k, v in raw.items() if not k.startswith("_")}
     meta: dict[str, object] = {"wall_time": wall}
     if batched:
         meta["batched"] = True
-    if not any(key.startswith("_") for key in raw):
-        return {"values": dict(raw), "meta": meta}
-    values = {k: v for k, v in raw.items() if not k.startswith("_")}
     for key, value in raw.items():
         if key.startswith("_"):
             meta[key[1:]] = value

@@ -463,6 +463,47 @@ class TestConcurrentOpen:
             assert [w.exitcode for w in workers] == [0, 0, 0, 0], trial
             assert len(SqliteCache(path)) == 4
 
+    @staticmethod
+    def _fail_setup(monkeypatch, code: int, times: int) -> list:
+        """Make the next ``times`` set-up scripts fail with ``code``."""
+        connect, raised = sqlite3.connect, []
+
+        class Flaky:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def executescript(self, script):
+                if len(raised) < times:
+                    exc = sqlite3.OperationalError("database is locked")
+                    exc.sqlite_errorcode = code
+                    raised.append(exc)
+                    raise exc
+                return self.conn.executescript(script)
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *a, **k: Flaky(connect(*a, **k))
+        )
+        return raised
+
+    @pytest.mark.parametrize("code", [5, 261, 517])
+    def test_busy_codes_are_retried(self, tmp_path, monkeypatch, code):
+        """SQLITE_BUSY arrives as plain 5 or as an extended code
+        (BUSY_RECOVERY 261, BUSY_SNAPSHOT 517); each one retries."""
+        raised = self._fail_setup(monkeypatch, code, times=2)
+        cache = SqliteCache(tmp_path / "busy.sqlite")
+        assert len(raised) == 2
+        cache.put(point_key("ev", {"W": 1}), _record(1.0))
+        assert len(cache) == 1
+
+    def test_other_errors_are_raised_at_once(self, tmp_path, monkeypatch):
+        raised = self._fail_setup(monkeypatch, 266, times=2)  # IOERR_READ
+        with pytest.raises(sqlite3.OperationalError):
+            SqliteCache(tmp_path / "ioerr.sqlite")
+        assert len(raised) == 1
+
 
 class TestConnectionPool:
     def test_short_lived_threads_reuse_pooled_connections(

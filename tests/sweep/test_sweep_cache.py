@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sweep.cache import (
+    _RECORD,
     SOLVER_VERSION,
     ResultCache,
+    _loads,
     canonical_json,
     point_key,
 )
@@ -77,6 +79,55 @@ class TestPointKey:
     def test_canonical_json_rejects_nan(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
+
+
+_JSON_TREES = st.recursive(
+    _PARAM_VALUES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestRecordCodec:
+    """The prebuilt encoders and the scanner fast path change no bytes."""
+
+    @given(tree=_JSON_TREES)
+    def test_encoders_match_json_dumps(self, tree):
+        assert _RECORD(tree) == json.dumps(
+            tree, sort_keys=True, allow_nan=False
+        )
+        assert canonical_json(tree) == json.dumps(
+            tree, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+
+    @given(tree=_JSON_TREES)
+    def test_loads_matches_json_loads(self, tree):
+        text = _RECORD(tree)
+        assert _loads(text) == json.loads(text)
+        assert _loads(f" {text}\n") == tree
+
+    @pytest.mark.parametrize(
+        "text", ["", "{truncated", '{"a": 1} x', '{"a": 1}{}', "[1,]"]
+    )
+    def test_loads_rejects_what_json_loads_rejects(self, text):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError):
+            _loads(text)
+
+    def test_encoder_reusable_after_an_error(self):
+        # No circular-reference markers are kept between calls, so a
+        # failed encode leaves nothing behind for the next one.
+        record = {"values": {"R": float("nan")}}
+        with pytest.raises(ValueError):
+            _RECORD(record)
+        with pytest.raises(TypeError):
+            _RECORD({"values": {"R": object()}})
+        record["values"]["R"] = 1.5
+        assert _RECORD(record) == '{"values": {"R": 1.5}}'
 
 
 class TestResultCache:
