@@ -19,8 +19,8 @@ Layers (all stdlib-only):
     :class:`Job` objects (progress streamed from :mod:`repro.obs`
     events).
 :mod:`repro.serve.http`
-    The JSON-over-HTTP front end (``http.server`` threading server,
-    persistent HTTP/1.1 connections).
+    The JSON-over-HTTP front end: a threading TCP server speaking the
+    small HTTP/1.1 subset below, with persistent connections.
 :mod:`repro.serve.client`
     :class:`Client`, returning the same typed objects as the
     in-process facade over one kept-alive connection per thread.
@@ -47,6 +47,10 @@ Endpoints: ``GET /v1/health``, ``POST /v1/point``, ``POST /v1/sweep``,
 ``GET /v1/jobs/<id>/result``, ``POST /v1/optimize``,
 ``GET /v1/cache/stats``, ``GET /metrics``.  Errors are
 ``{"error": msg}`` with 4xx/5xx status.
+
+No ``http.server``/``http.client``: GET/POST, ``Content-Length`` bodies
+(413 over 4 MiB, 501 for ``Transfer-Encoding``), ``Expect: 100-continue``,
+keep-alive (HTTP/1.0 only on request) -- see :mod:`repro.serve.http`.
 """
 
 from repro.serve.client import Client, ServeError

@@ -1,11 +1,14 @@
 """Typed client for the ``lopc-serve/1`` HTTP protocol.
 
-Stdlib-only (:mod:`http.client`); every method returns the same
-typed objects the in-process facade does -- ``point`` gives a
-:class:`~repro.api.Solution`, ``result``/``wait`` give a
-:class:`~repro.sweep.SweepResult`, ``optimize`` gives an
-:class:`~repro.opt.result.OptResult` -- so moving code between
-in-process and served execution is a one-line change.
+Every method returns the same typed objects the in-process facade
+does -- ``point`` gives a :class:`~repro.api.Solution`,
+``result``/``wait`` give a :class:`~repro.sweep.SweepResult`,
+``optimize`` gives an :class:`~repro.opt.result.OptResult` -- so moving
+code between in-process and served execution is a one-line change.
+
+No :mod:`http.client`: a request is one buffer on a raw socket, and
+the reply is read by the server's own framing (:mod:`repro.serve.wire`;
+``Content-Length`` required).  :mod:`ssl` loads for ``https://`` only.
 
 Each thread using a :class:`Client` keeps one persistent HTTP/1.1
 connection to the server, so a request costs no TCP handshake.  If the
@@ -24,13 +27,15 @@ every connection.
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 import weakref
 from typing import Mapping
 from urllib.parse import urlsplit
+
+from repro.serve.wire import content_length, read_head
 
 __all__ = ["Client", "ServeError"]
 
@@ -48,17 +53,18 @@ class ServeError(RuntimeError):
         self.message = message
 
 
-class _Held:
-    """One thread's connection, kept in that thread's local storage.
+class _Connection:
+    """A thread's kept-alive socket; freed with the thread, it closes."""
 
-    When the thread ends its storage is freed, and ``closer`` -- a
-    finalizer on this holder -- closes the connection.
-    """
+    sock = reader = None  # while closed
 
-    __slots__ = ("conn", "closer", "__weakref__")
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = self.reader = None
 
-    def __init__(self, conn: http.client.HTTPConnection) -> None:
-        self.conn = conn
+    __del__ = close
 
 
 class Client:
@@ -68,49 +74,58 @@ class Client:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         split = urlsplit(self.base_url)
-        if split.scheme not in ("http", "https") or not split.netloc:
+        if split.scheme not in ("http", "https") or not split.hostname:
             raise ValueError(
                 f"server URL must be http(s)://host[:port], got {base_url!r}"
             )
-        self._connection_class = (
-            http.client.HTTPSConnection if split.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._netloc = split.netloc
+        self._tls = split.scheme == "https"
+        self._address = (split.hostname, split.port or (443 if self._tls else 80))
+        self._host = split.netloc
         self._prefix = split.path
         self._local = threading.local()
-        # One closer per live thread connection, so close() reaches
-        # them all; a thread that ends closes its own.
-        self._closers: "set[weakref.finalize]" = set()
-        self._closers_lock = threading.Lock()
+        # Every thread's connection, so close() reaches them all.
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
 
     # -- transport -----------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's persistent connection (opened lazily)."""
-        held = getattr(self._local, "held", None)
-        if held is None or not held.closer.alive:
-            conn = self._connection_class(self._netloc, timeout=self.timeout)
-            held = self._local.held = _Held(conn)
-            held.closer = weakref.finalize(held, conn.close)
-            with self._closers_lock:
-                self._closers = {c for c in self._closers if c.alive}
-                self._closers.add(held.closer)
-        return held.conn
+    def _connection(self) -> _Connection:
+        """This thread's persistent connection (opened on use)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = _Connection()
+            with self._connections_lock:
+                self._connections.add(conn)
+        return conn
 
     def _request(self, method: str, path: str,
                  body: object | None = None) -> dict:
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+        target = self._prefix + path
+        if not target.isascii() or not target.isprintable() or " " in target:
+            raise ServeError(0, f"request to {self.base_url} failed: "
+                                f"bad path {target!r}")
+        data = b"" if body is None else json.dumps(body).encode("utf-8")
+        request = (f"{method} {target} HTTP/1.1\r\nHost: {self._host}\r\n"
+                   "Content-Type: application/json\r\n"
+                   f"Content-Length: {len(data)}\r\n\r\n").encode() + data
         conn = self._connection()
         for retry in (True, False):
             reused = conn.sock is not None
             try:
-                conn.request(method, self._prefix + path, body=data,
-                             headers=headers)
-                response = conn.getresponse()
+                if not reused:
+                    sock = socket.create_connection(self._address, self.timeout)
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    if self._tls:
+                        import ssl
+                        sock = ssl.create_default_context().wrap_socket(
+                            sock, server_hostname=self._address[0])
+                    conn.sock, conn.reader = sock, sock.makefile("rb")
+                conn.sock.sendall(request)
+                reply = read_head(conn.reader)
+                if reply is None:
+                    raise ConnectionResetError("closed without a reply")
+                status, _, reason = reply[0].partition(" ")[2].partition(" ")
+                status, headers = int(status), reply[1]
+                length = content_length(headers)
             except ConnectionError as exc:
                 # No status line came back.  On a reused connection the
                 # server closed it while idle: send once more, fresh.
@@ -119,31 +134,35 @@ class Client:
                     continue
                 raise ServeError(0, f"cannot reach {self.base_url}: "
                                     f"{exc}") from None
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, ValueError) as exc:
                 conn.close()
                 raise ServeError(0, f"request to {self.base_url} failed: "
                                     f"{exc}") from None
             break
         try:
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as exc:
+            raw = conn.reader.read(length)
+            if len(raw) < length:
+                raise ValueError(f"{len(raw)} of {length} body bytes")
+        except (OSError, ValueError) as exc:
             conn.close()
             raise ServeError(0, f"reply from {self.base_url} cut off: "
                                 f"{exc}") from None
-        if response.status >= 400:
+        if "close" in headers.get("connection", "").lower():
+            conn.close()
+        if status >= 400:
             try:
-                message = json.loads(raw).get("error", response.reason)
+                message = json.loads(raw).get("error", reason)
             except (ValueError, AttributeError):
-                message = response.reason
-            raise ServeError(response.status, message)
+                message = reason
+            raise ServeError(status, message)
         return json.loads(raw)
 
     def close(self) -> None:
         """Close every thread's connection; later requests reopen one."""
-        with self._closers_lock:
-            closers, self._closers = self._closers, set()
-        for closer in closers:
-            closer()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
 
     def __enter__(self) -> "Client":
         return self

@@ -1,9 +1,9 @@
 """JSON-over-HTTP front end for :class:`~repro.serve.SweepService`.
 
-A deliberately small protocol (``lopc-serve/1``) on the stdlib
-:class:`~http.server.ThreadingHTTPServer` -- every request handler
-thread talks to the one shared service, which is where all concurrency
-control (singleflight, batch window, worker pool) lives.
+A deliberately small protocol (``lopc-serve/1``) on a threading TCP
+server -- every connection's handler thread talks to the one shared
+service, which is where all concurrency control (singleflight, batch
+window, worker pool) lives.
 
 Routes (all bodies and responses are JSON)::
 
@@ -24,25 +24,30 @@ Errors are ``{"error": <message>}`` with a 4xx/5xx status; bad input
 (unknown scenario/evaluator/job, malformed JSON, invalid parameters)
 is 400/404, evaluation failures are 500.
 
-Connections are HTTP/1.1 persistent, with Nagle's algorithm off
-(``TCP_NODELAY``): a reply is written as headers, then body, and on a
-kept-alive connection Nagle would hold the small body back until the
-client's delayed ACK of the headers, ~40 ms later.  A connection idle
-for :data:`IDLE_TIMEOUT` seconds is closed, and
-:meth:`ServeHTTPServer.server_close` closes the idle ones at once, so
-neither pins a handler thread.
+HTTP is spoken here, not by :mod:`http.server`, and only the subset
+the protocol needs: GET/POST with ``Content-Length`` JSON bodies, one
+reply write each.  A malformed head is 400, a body over
+:data:`MAX_BODY` 413, ``Transfer-Encoding`` or another method 501, and
+each closes the connection; ``Expect: 100-continue`` gets a ``100``.
+Connections persist (HTTP/1.0 only with ``keep-alive``) until
+``Connection: close``, :data:`IDLE_TIMEOUT` idle seconds, or
+:meth:`ServeHTTPServer.server_close`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
+import socketserver
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.service import SweepService
+from repro.serve.wire import FramingError, content_length, read_head
 
 __all__ = ["PROTOCOL", "ServeHTTPServer", "make_server", "serve_forever"]
 
@@ -58,10 +63,11 @@ MAX_BODY = 4 * 1024 * 1024
 IDLE_TIMEOUT = 30.0
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
+class ServeHTTPServer(socketserver.ThreadingTCPServer):
     """Threading server carrying the shared service instance."""
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, address: "tuple[str, int]",
                  service: SweepService, *, quiet: bool = True) -> None:
@@ -97,36 +103,75 @@ class ServeHTTPServer(ThreadingHTTPServer):
                 pass
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(socketserver.StreamRequestHandler):
     timeout = IDLE_TIMEOUT
-    disable_nagle_algorithm = True  # see the module docstring
+    disable_nagle_algorithm = True  # never hold a reply for an ACK
     server: ServeHTTPServer
 
     # -- plumbing ------------------------------------------------------
-    def log_message(self, fmt: str, *args: object) -> None:
-        if not self.server.quiet:  # pragma: no cover - debug aid
-            super().log_message(fmt, *args)
+    def handle(self) -> None:
+        with contextlib.suppress(OSError):  # peer gone, or idle too long
+            while self._serve_one():
+                pass
+
+    def _serve_one(self) -> bool:
+        """Read, dispatch and answer one request; False to close."""
+        self._start = "-"
+        try:
+            head = read_head(self.rfile)
+            if head is None:
+                return False
+            self._start, headers = head
+            parts = self._start.split()
+            if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                raise FramingError(f"request line {self._start[:60]!r}")
+            length = content_length(headers, "0")
+        except FramingError as exc:
+            return self._refuse(400, f"bad request: {exc}")
+        method, self.path, version = parts
+        connection = headers.get("connection", "").lower()
+        close = "close" in connection or (
+            version == "HTTP/1.0" and "keep-alive" not in connection)
+        if "transfer-encoding" in headers:
+            return self._refuse(501, "Transfer-Encoding is not supported")
+        if length > MAX_BODY:
+            return self._refuse(413, f"request body exceeds {MAX_BODY} bytes")
+        if headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self._raw = self.rfile.read(length)
+        if len(self._raw) < length:
+            return False  # the peer closed mid-body
+        if method not in ("GET", "POST"):
+            return self._refuse(501, f"unsupported method {method}")
+        getattr(self, "do_" + method)()
+        return self._send(*self._response, close)
+
+    def _send(self, status: int, body: bytes, close: bool) -> bool:
+        """Write one whole reply; returns whether to keep reading."""
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n")
+        if close:
+            head += "Connection: close\r\n"
+        self.wfile.write(f"{head}\r\n".encode("latin-1") + body)
+        if not self.server.quiet:
+            print(self.client_address[0], self._start, status, file=sys.stderr)
+        return not close
+
+    def _refuse(self, status: int, message: str) -> bool:
+        self._error(status, message)
+        return self._send(*self._response, True)
 
     def _reply(self, status: int, payload: object) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._response = (status, json.dumps(payload).encode("utf-8"))
 
     def _error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY:
-            raise ValueError(f"request body exceeds {MAX_BODY} bytes")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        if not self._raw:
             return {}
-        payload = json.loads(raw)
+        payload = json.loads(self._raw)
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
@@ -138,13 +183,11 @@ class _Handler(BaseHTTPRequestHandler):
         except (KeyError, ValueError, TypeError) as exc:
             status = 404 if isinstance(exc, KeyError) else 400
             self._error(status, str(exc).strip("'\""))
-        except BrokenPipeError:  # client went away mid-reply
-            pass
         except Exception as exc:  # evaluation / internal failure
             self._error(500, f"{type(exc).__name__}: {exc}")
 
     # -- routing -------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def do_GET(self) -> None:  # noqa: N802 (named by method)
         split = urlsplit(self.path)
         parts = [p for p in split.path.split("/") if p]
         query = parse_qs(split.query)
@@ -164,7 +207,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"no such endpoint: GET {split.path}")
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+    def do_POST(self) -> None:  # noqa: N802 (named by method)
         split = urlsplit(self.path)
         parts = [p for p in split.path.split("/") if p]
         if parts == ["v1", "point"]:
