@@ -9,6 +9,7 @@ Replies are parsed here independently of :mod:`repro.serve.wire`.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -290,13 +291,24 @@ class TestServerProtocol:
             check()
 
 
-def _one_reply_server(reply: bytes) -> "tuple[socket.socket, int]":
-    """A listener that answers one request with ``reply``, then closes."""
+def _one_reply_server(reply: bytes, *, first: bool = False
+                      ) -> "tuple[socket.socket, int]":
+    """A listener that answers one request with ``reply``, then closes.
+
+    ``first=True`` sends the reply as soon as the connection opens and
+    then reads until the client closes.
+    """
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve() -> None:
         conn, _ = listener.accept()
         with conn, conn.makefile("rb") as reader:
+            if first:
+                conn.sendall(reply)
+                with contextlib.suppress(ConnectionResetError):
+                    while conn.recv(4096):
+                        pass
+                return
             while reader.readline() not in (b"\r\n", b""):
                 pass
             conn.sendall(reply)
@@ -326,6 +338,21 @@ class TestClientFraming:
                 with pytest.raises(ServeError) as err:
                     client.health()
             assert err.value.status == 0
+        finally:
+            listener.close()
+
+    def test_https_url_speaks_tls(self):
+        """A plain reply fails an https client's TLS handshake, where an
+        http client would have accepted it."""
+        reply = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                 b"Content-Length: 2\r\n\r\n{}")
+        listener, port = _one_reply_server(reply, first=True)
+        try:
+            with Client(f"https://127.0.0.1:{port}", timeout=5.0) as client:
+                with pytest.raises(ServeError) as err:
+                    client.health()
+            assert err.value.status == 0
+            assert "SSL" in err.value.message
         finally:
             listener.close()
 
