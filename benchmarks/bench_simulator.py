@@ -56,16 +56,24 @@ def test_events_scale_linearly_with_cycles():
 # ---------------------------------------------------------------------------
 # Streamed vs scalar (the PR-4 fast path)
 # ---------------------------------------------------------------------------
-def _best_of(func, repeats=3):
-    """Min-of-N wall time (and last result) -- the speedup ratio must not
-    hinge on one scheduler stall on a noisy CI runner."""
-    best = float("inf")
-    result = None
+def _best_of_alternating(run, repeats=3):
+    """Min-of-N wall time (and last result) of ``run(False)`` (scalar) and
+    ``run(True)`` (streamed), the two sides alternating run by run.
+
+    The speedup ratio must not hinge on one scheduler stall on a noisy
+    CI runner, and alternating lets a load burst hit both sides rather
+    than only the one that happened to be running.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    result = {}
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for use_streams in (False, True):
+            start = time.perf_counter()
+            result[use_streams] = run(use_streams)
+            best[use_streams] = min(
+                best[use_streams], time.perf_counter() - start
+            )
+    return (best[False], result[False]), (best[True], result[True])
 
 
 def _run_alltoall(use_streams: bool):
@@ -90,10 +98,10 @@ def _run_workpile(use_streams: bool):
 
 def test_streamed_alltoall_speedup(benchmark):
     """Streamed all-to-all >= 1.5x the seed scalar path, end to end."""
-    scalar_elapsed, scalar_machine = _best_of(lambda: _run_alltoall(False))
-
     benchmark.pedantic(_run_alltoall, args=(True,), iterations=1, rounds=3)
-    streamed_elapsed, machine = _best_of(lambda: _run_alltoall(True))
+    (scalar_elapsed, scalar_machine), (streamed_elapsed, machine) = (
+        _best_of_alternating(_run_alltoall)
+    )
 
     events = machine.sim.events_processed
     # Same machine physics on both paths: identical event counts and
@@ -117,10 +125,10 @@ def test_streamed_alltoall_speedup(benchmark):
 
 def test_streamed_workpile_speedup(benchmark):
     """Streamed workpile >= 1.5x the seed scalar path, end to end."""
-    scalar_elapsed, scalar_measured = _best_of(lambda: _run_workpile(False))
-
     benchmark.pedantic(_run_workpile, args=(True,), iterations=1, rounds=3)
-    streamed_elapsed, measured = _best_of(lambda: _run_workpile(True))
+    (scalar_elapsed, scalar_measured), (streamed_elapsed, measured) = (
+        _best_of_alternating(_run_workpile)
+    )
 
     events = int(measured.meta["events"])
     assert events == int(scalar_measured.meta["events"])

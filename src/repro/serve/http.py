@@ -28,7 +28,10 @@ HTTP is spoken here, not by :mod:`http.server`, and only the subset
 the protocol needs: GET/POST with ``Content-Length`` JSON bodies, one
 reply write each.  A malformed head is 400, a body over
 :data:`MAX_BODY` 413, ``Transfer-Encoding`` or another method 501, and
-each closes the connection; ``Expect: 100-continue`` gets a ``100``.
+each closes the connection with a lingering close (write side shut,
+unread request bytes drained for a bounded time, then close), so the
+peer reads the reply and a FIN rather than a reset;
+``Expect: 100-continue`` gets a ``100``.
 Connections persist (HTTP/1.0 only with ``keep-alive``) until
 ``Connection: close``, :data:`IDLE_TIMEOUT` idle seconds, or
 :meth:`ServeHTTPServer.server_close`.
@@ -61,6 +64,11 @@ MAX_BODY = 4 * 1024 * 1024
 #: Seconds a persistent connection may sit idle before the server
 #: closes it and frees its handler thread.
 IDLE_TIMEOUT = 30.0
+
+# Lingering close after a refusal: drain at most this many seconds and
+# bytes of the unread request before closing.
+_LINGER_SECONDS = 2.0
+_LINGER_BYTES = 8 * 1024 * 1024
 
 
 class ServeHTTPServer(socketserver.ThreadingTCPServer):
@@ -159,8 +167,28 @@ class _Handler(socketserver.StreamRequestHandler):
         return not close
 
     def _refuse(self, status: int, message: str) -> bool:
+        """Reply ``status`` and close, draining what the peer still sends.
+
+        Closing a socket with unread bytes makes the kernel answer with
+        a reset, which can destroy the reply before the peer reads it.
+        """
         self._error(status, message)
-        return self._send(*self._response, True)
+        self._send(*self._response, True)
+        sock = self.connection
+        deadline = time.monotonic() + _LINGER_SECONDS
+        drained = 0
+        with contextlib.suppress(OSError):
+            sock.shutdown(socket.SHUT_WR)
+            while drained < _LINGER_BYTES:
+                left = deadline - time.monotonic()
+                if left <= 0.0:
+                    break
+                sock.settimeout(left)
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                drained += len(chunk)
+        return False
 
     def _reply(self, status: int, payload: object) -> None:
         self._response = (status, json.dumps(payload).encode("utf-8"))

@@ -230,9 +230,6 @@ class Machine:
     def start(self) -> None:
         """Start all installed threads at the current time."""
         for node in self.nodes:
-            if not node.thread_done or node.thread_state == "ready":
-                pass
-        for node in self.nodes:
             if node.thread_state == "ready":
                 node.start()
 

@@ -211,18 +211,18 @@ class Node:
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
         """Message arrival from the network (interrupt or enqueue)."""
-        message.arrived_at = self.sim.now
-        self.stats.on_arrival(message, self.sim.now)
+        now = message.arrived_at = self.sim.now
+        self.stats.on_arrival(message, now)
         if self.tracer is not None:
             self.tracer.record(
-                self.sim.now, self.id, "message-arrived",
+                now, self.id, "message-arrived",
                 f"{message.kind} from node {message.source}",
             )
         if self._active is not None:
             self._fifo.append(message)
             if self.tracer is not None:
                 self.tracer.record(
-                    self.sim.now, self.id, "message-queued",
+                    now, self.id, "message-queued",
                     f"{message.kind} from node {message.source} "
                     f"(fifo depth {len(self._fifo)})",
                 )
@@ -373,13 +373,8 @@ class Node:
                 self._start_compute()
                 return
             if isinstance(effect, Send):
-                self.send(
-                    dest=effect.dest,
-                    handler=effect.handler,
-                    kind=effect.kind,
-                    payload=effect.payload,
-                    service_time=effect.service_time,
-                )
+                self.send(effect.dest, effect.handler, effect.kind,
+                          effect.payload, effect.service_time)
                 continue
             if isinstance(effect, Wait):
                 if effect.predicate(self):
@@ -418,13 +413,6 @@ class Node:
         service_time: float | None = None,
     ) -> Message:
         """Inject a message into the network from this node (zero cost)."""
-        message = Message(
-            source=self.id,
-            dest=dest,
-            handler=handler,
-            kind=kind,
-            payload=payload,
-            service_time=service_time,
-        )
+        message = Message(self.id, dest, handler, kind, payload, service_time)
         self.network.send(message)
         return message

@@ -28,6 +28,13 @@ A blocking request (the paper's Figure 4-2 timeline) is then simply::
 This keeps workload code honest: the cycle structure measured by the
 statistics module is produced by the same mechanism an Alewife program
 would use (spin on a counter flipped by the reply handler).
+
+Effects are slotted, mutable, unhashable value objects: a thread builds
+one per yield on the hot path, and a frozen dataclass would pay an
+``object.__setattr__`` per field to build it.  Nothing mutates, compares
+or hashes an effect once yielded, so a thread may build a cycle-invariant
+effect once and yield it every cycle -- the workloads hoist their
+``Wait`` out of the loop this way.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ class ThreadEffect:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute(ThreadEffect):
     """Consume ``duration`` cycles of CPU at thread (lowest) priority."""
 
@@ -59,7 +66,7 @@ class Compute(ThreadEffect):
             raise ValueError(f"duration must be >= 0, got {self.duration!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send(ThreadEffect):
     """Inject an active message addressed to node ``dest``.
 
@@ -85,7 +92,7 @@ class Send(ThreadEffect):
     service_time: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Wait(ThreadEffect):
     """Block the thread until ``predicate(node)`` holds.
 
@@ -99,6 +106,6 @@ class Wait(ThreadEffect):
     label: str = field(default="wait", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Done(ThreadEffect):
     """Explicitly end the thread (same as returning from the generator)."""

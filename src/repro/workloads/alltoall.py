@@ -22,7 +22,12 @@ from repro.sim.messages import Message
 from repro.sim.node import Node
 from repro.sim.stats import CycleRecord
 from repro.sim.threads import Compute, Send, ThreadEffect, Wait
-from repro.workloads.base import SimulationMeasurement, measurement_from_machine
+from repro.workloads.base import (
+    SimulationMeasurement,
+    measurement_from_machine,
+    trim_defaults,
+    warmed_up,
+)
 
 __all__ = ["AllToAllWorkload", "run_alltoall"]
 
@@ -41,12 +46,7 @@ def _request_handler(node: Node, message: Message) -> None:
     record: CycleRecord = message.payload
     record.request_arrived = message.arrived_at
     record.request_done = message.completed_at
-    node.send(
-        dest=message.source,
-        handler=_reply_handler,
-        kind="reply",
-        payload=record,
-    )
+    node.send(message.source, _reply_handler, "reply", record)
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,7 @@ class AllToAllWorkload:
         work.reserve(self.cycles)
         pick = node.pick_stream(p - 1)
         pick.reserve(self.cycles)
+        await_reply = Wait(lambda n: n.memory[_REPLIED], label="await-reply")
         unblocked_at = node.sim.now
         for _ in range(self.cycles):
             record = CycleRecord(node=node.id, start=unblocked_at)
@@ -100,8 +101,8 @@ class AllToAllWorkload:
             if dest >= node.id:
                 dest += 1
             node.memory[_REPLIED] = False
-            yield Send(dest, _request_handler, kind="request", payload=record)
-            yield Wait(lambda n: n.memory[_REPLIED], label="await-reply")
+            yield Send(dest, _request_handler, "request", record)
+            yield await_reply
             # The thread became runnable when its reply handler finished,
             # even if queued request handlers ran before we resumed here.
             unblocked_at = record.reply_done
@@ -148,22 +149,14 @@ def run_alltoall(
     :class:`~repro.workloads.base.SimulationMeasurement` with mean
     ``R, Rw, Rq, Ry``, wire time, utilisations and queue lengths.
     """
-    if warmup is None:
-        warmup = max(1, cycles // 10)
-    if cooldown is None:
-        cooldown = max(1, cycles // 10)
-    if warmup + cooldown >= cycles:
-        raise ValueError(
-            f"warmup+cooldown ({warmup}+{cooldown}) must leave records "
-            f"from {cycles} cycles"
-        )
+    warmup, cooldown = trim_defaults(cycles, warmup, cooldown)
     workload = AllToAllWorkload(work=work, cycles=cycles, work_cv2=work_cv2)
     machine = Machine(config, use_streams=use_streams)
     workload.install(machine)
     machine.start()
     # Warm-up phase: run until every node completed `warmup` cycles, then
     # reset the time-weighted statistics.
-    machine.run(stop=lambda: all(len(n.cycles) >= warmup for n in machine.nodes))
+    machine.run(stop=warmed_up(machine.nodes, warmup))
     machine.reset_stats()
     machine.run()
     return measurement_from_machine(

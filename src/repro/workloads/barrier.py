@@ -38,7 +38,7 @@ from repro.sim.messages import Message
 from repro.sim.node import Node
 from repro.sim.stats import CycleRecord, summarize_cycles
 from repro.sim.threads import Compute, Send, ThreadEffect, Wait
-from repro.workloads.base import trim_records
+from repro.workloads.base import trim_defaults, trim_records
 
 __all__ = ["BarrierMeasurement", "run_barrier_alltoall"]
 
@@ -104,8 +104,7 @@ def _request_handler(node: Node, message: Message) -> None:
     record: CycleRecord = message.payload
     record.request_arrived = message.arrived_at
     record.request_done = message.completed_at
-    node.send(dest=message.source, handler=_reply_handler, kind="reply",
-              payload=record)
+    node.send(message.source, _reply_handler, "reply", record)
 
 
 @dataclass(frozen=True)
@@ -163,12 +162,7 @@ def run_barrier_alltoall(
         raise ValueError(f"work must be >= 0, got {work!r}")
     if phases < 2:
         raise ValueError(f"phases must be >= 2, got {phases!r}")
-    if warmup is None:
-        warmup = max(1, phases // 10)
-    if cooldown is None:
-        cooldown = max(1, phases // 10)
-    if warmup + cooldown >= phases:
-        raise ValueError("warmup+cooldown must leave measured phases")
+    warmup, cooldown = trim_defaults(phases, warmup, cooldown, "phases")
 
     p = config.processors
     state = _BarrierState(participants=p)
@@ -182,6 +176,7 @@ def run_barrier_alltoall(
         work_stream = node.sample_stream(work_dist)
         work_stream.reserve(phases)
         node.memory[_GENERATION] = 0
+        await_ack = Wait(lambda n: n.memory[_REPLIED], label="await-put-ack")
         unblocked_at = node.sim.now
         for phase in range(phases):
             record = CycleRecord(node=node.id, start=unblocked_at)
@@ -192,8 +187,8 @@ def run_barrier_alltoall(
             shift = 1 + (phase % (p - 1))
             dest = (node.id + shift) % p
             node.memory[_REPLIED] = False
-            yield Send(dest, _request_handler, kind="request", payload=record)
-            yield Wait(lambda n: n.memory[_REPLIED], label="await-put-ack")
+            yield Send(dest, _request_handler, "request", record)
+            yield await_ack
             node.cycles.append(record)
             if use_barriers:
                 barrier_entered = record.reply_done

@@ -9,16 +9,19 @@ them field by field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.core.results import ModelSolution
 from repro.sim.machine import Machine
+from repro.sim.node import Node
 from repro.sim.stats import CycleRecord, summarize_cycles
 
 __all__ = [
     "SimulationMeasurement",
     "measurement_from_machine",
+    "trim_defaults",
     "trim_records",
+    "warmed_up",
 ]
 
 
@@ -112,6 +115,45 @@ class SimulationMeasurement:
             handler_time=self.handler_time,
             meta=dict(self.meta, source="simulation"),
         )
+
+
+def trim_defaults(
+    count: int, warmup: int | None, cooldown: int | None, unit: str = "cycles"
+) -> tuple[int, int]:
+    """Per-node ``(warmup, cooldown)`` trims: 10 % each by default, >= 1.
+
+    Raises if the trims would leave none of the ``count`` records.
+    """
+    if warmup is None:
+        warmup = max(1, count // 10)
+    if cooldown is None:
+        cooldown = max(1, count // 10)
+    if warmup + cooldown >= count:
+        raise ValueError(
+            f"warmup+cooldown ({warmup}+{cooldown}) must leave records "
+            f"from {count} {unit}"
+        )
+    return warmup, cooldown
+
+
+def warmed_up(nodes: Sequence[Node], warmup: int) -> Callable[[], bool]:
+    """Warm-up stop predicate: every node in ``nodes`` has ``warmup`` records.
+
+    A node's cycle records only grow during a run, so a node once warm
+    stays warm: the predicate resumes from the first node not yet warm
+    instead of rescanning all of them after every event.
+    """
+    first_cold = 0
+
+    def stop() -> bool:
+        nonlocal first_cold
+        while first_cold < len(nodes):
+            if len(nodes[first_cold].cycles) < warmup:
+                return False
+            first_cold += 1
+        return True
+
+    return stop
 
 
 def trim_records(

@@ -55,12 +55,7 @@ def _put_handler(node: Node, message: Message) -> None:
     node.memory[_Y][index] = value  # the actual remote store
     record.request_arrived = message.arrived_at
     record.request_done = message.completed_at
-    node.send(
-        dest=message.source,
-        handler=_ack_handler,
-        kind="reply",
-        payload=record,
-    )
+    node.send(message.source, _ack_handler, "reply", record)
 
 
 @dataclass(frozen=True)
@@ -135,6 +130,7 @@ class MatVecWorkload:
     def thread_body(self, node: Node) -> Generator[ThreadEffect, None, None]:
         p = node.network.node_count
         a, x = self.matrix, self.vector
+        await_ack = Wait(lambda n: n.memory[_ACKED], label="await-ack")
         unblocked_at = node.sim.now
         for i in self.rows_of(node.id, p):
             # The dot product: N multiply-adds, then P-1 blocking puts.
@@ -154,13 +150,8 @@ class MatVecWorkload:
                     first_put_of_row = False
                 record.send = node.sim.now
                 node.memory[_ACKED] = False
-                yield Send(
-                    dest,
-                    _put_handler,
-                    kind="request",
-                    payload=(record, i, value),
-                )
-                yield Wait(lambda n: n.memory[_ACKED], label="await-ack")
+                yield Send(dest, _put_handler, "request", (record, i, value))
+                yield await_ack
                 unblocked_at = record.reply_done
                 node.cycles.append(record)
 

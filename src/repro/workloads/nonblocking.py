@@ -26,6 +26,7 @@ from repro.sim.machine import Machine, MachineConfig
 from repro.sim.messages import Message
 from repro.sim.node import Node
 from repro.sim.threads import Compute, Send, ThreadEffect, Wait
+from repro.workloads.base import trim_defaults
 
 __all__ = ["NonBlockingMeasurement", "run_nonblocking_alltoall"]
 
@@ -41,12 +42,8 @@ def _nb_reply_handler(node: Node, message: Message) -> None:
 
 
 def _nb_request_handler(node: Node, message: Message) -> None:
-    node.send(
-        dest=message.source,
-        handler=_nb_reply_handler,
-        kind="reply",
-        payload=message.payload,  # original send timestamp rides along
-    )
+    # The original send timestamp rides along in the payload.
+    node.send(message.source, _nb_reply_handler, "reply", message.payload)
 
 
 @dataclass(frozen=True)
@@ -102,12 +99,7 @@ def run_nonblocking_alltoall(
         )
     if cycles < 4:
         raise ValueError(f"cycles must be >= 4, got {cycles!r}")
-    if warmup is None:
-        warmup = max(1, cycles // 10)
-    if cooldown is None:
-        cooldown = max(1, cycles // 10)
-    if warmup + cooldown >= cycles:
-        raise ValueError("warmup+cooldown must leave measured records")
+    warmup, cooldown = trim_defaults(cycles, warmup, cooldown)
 
     work_dist = from_mean_cv2(work, work_cv2)
     p = config.processors
@@ -122,24 +114,18 @@ def run_nonblocking_alltoall(
         node.memory[_OUTSTANDING] = 0
         node.memory[_ISSUES] = []
         node.memory[_TRIPS] = []
+        await_window = Wait(lambda n: n.memory[_OUTSTANDING] < window,
+                            label="await-window")
         for _ in range(cycles):
             yield Compute(work_stream.draw())
             if math.isfinite(window):
-                yield Wait(
-                    lambda n: n.memory[_OUTSTANDING] < window,
-                    label="await-window",
-                )
+                yield await_window
             dest = pick.draw()
             if dest >= node.id:
                 dest += 1
             node.memory[_OUTSTANDING] += 1
             node.memory[_ISSUES].append(node.sim.now)
-            yield Send(
-                dest,
-                _nb_request_handler,
-                kind="request",
-                payload=node.sim.now,
-            )
+            yield Send(dest, _nb_request_handler, "request", node.sim.now)
         # Drain: wait for every reply so round-trip stats are complete.
         yield Wait(lambda n: n.memory[_OUTSTANDING] == 0, label="drain")
 

@@ -30,10 +30,16 @@ from repro.sim.distributions import Uniform
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.messages import Message
 from repro.sim.node import Node
-from repro.sim.stats import CycleRecord
+from repro.sim.stats import CycleRecord, summarize_cycles
 from repro.sim.streams import stream_sample
 from repro.sim.threads import Compute, Send, ThreadEffect, Wait
-from repro.workloads.base import SimulationMeasurement, measurement_from_machine
+from repro.workloads.base import (
+    SimulationMeasurement,
+    measurement_from_machine,
+    trim_defaults,
+    trim_records,
+    warmed_up,
+)
 
 __all__ = [
     "HeterogeneousUniformPattern",
@@ -68,20 +74,10 @@ def _pattern_request_handler(node: Node, message: Message) -> None:
     path: list[int] = payload["path"]
     if path:
         nxt = path.pop(0)
-        node.send(
-            dest=nxt,
-            handler=_pattern_request_handler,
-            kind="request",
-            payload=payload,
-        )
+        node.send(nxt, _pattern_request_handler, "request", payload)
     else:
         record.request_done = message.completed_at
-        node.send(
-            dest=payload["origin"],
-            handler=_pattern_reply_handler,
-            kind="reply",
-            payload=payload,
-        )
+        node.send(payload["origin"], _pattern_reply_handler, "reply", payload)
 
 
 class PatternWorkload(Protocol):
@@ -283,15 +279,12 @@ def run_pattern(
     """Simulate an arbitrary pattern workload and return measured means."""
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles!r}")
-    if warmup is None:
-        warmup = max(1, cycles // 10)
-    if cooldown is None:
-        cooldown = max(1, cycles // 10)
-    if warmup + cooldown >= cycles:
-        raise ValueError("warmup+cooldown must leave measured records")
+    warmup, cooldown = trim_defaults(cycles, warmup, cooldown)
 
     def make_body(work: float):
         def body(node: Node) -> Generator[ThreadEffect, None, None]:
+            await_done = Wait(lambda n: n.memory[_DONE_FLAG],
+                              label="await-pattern")
             unblocked_at = node.sim.now
             for _ in range(cycles):
                 record = CycleRecord(node=node.id, start=unblocked_at)
@@ -302,17 +295,9 @@ def run_pattern(
                     raise ValueError("pattern produced an empty path")
                 first = path.pop(0)
                 node.memory[_DONE_FLAG] = False
-                yield Send(
-                    first,
-                    _pattern_request_handler,
-                    kind="request",
-                    payload={
-                        "record": record,
-                        "path": path,
-                        "origin": node.id,
-                    },
-                )
-                yield Wait(lambda n: n.memory[_DONE_FLAG], label="await-pattern")
+                payload = {"record": record, "path": path, "origin": node.id}
+                yield Send(first, _pattern_request_handler, "request", payload)
+                yield await_done
                 unblocked_at = record.reply_done
                 node.cycles.append(record)
 
@@ -328,17 +313,12 @@ def run_pattern(
     machine.install_threads(bodies)
     machine.start()
     active = [i for i, w in enumerate(works) if w is not None]
-    machine.run(
-        stop=lambda: all(len(machine.nodes[i].cycles) >= warmup for i in active)
-    )
+    machine.run(stop=warmed_up([machine.nodes[i] for i in active], warmup))
     machine.reset_stats()
     machine.run()
     mean_work = float(np.mean([w for w in works if w is not None]))
     # Per-node mean cycle times, so heterogeneous patterns can be
     # validated thread by thread against the Appendix-A model.
-    from repro.sim.stats import summarize_cycles
-    from repro.workloads.base import trim_records
-
     per_node_response = {
         i: summarize_cycles(
             trim_records(machine.nodes[i].cycles, warmup, cooldown)

@@ -23,7 +23,7 @@ from repro.sim.messages import Message
 from repro.sim.node import Node
 from repro.sim.stats import CycleRecord, summarize_cycles
 from repro.sim.threads import Compute, Send, ThreadEffect, Wait
-from repro.workloads.base import trim_records
+from repro.workloads.base import trim_defaults, trim_records, warmed_up
 
 __all__ = ["WorkpileMeasurement", "run_workpile"]
 
@@ -45,12 +45,7 @@ def _chunk_request_handler(node: Node, message: Message) -> None:
     node.memory["workpile.chunks_served"] = (
         node.memory.get("workpile.chunks_served", 0) + 1
     )
-    node.send(
-        dest=message.source,
-        handler=_chunk_reply_handler,
-        kind="reply",
-        payload=record,
-    )
+    node.send(message.source, _chunk_reply_handler, "reply", record)
 
 
 @dataclass(frozen=True)
@@ -117,15 +112,7 @@ def run_workpile(
         raise ValueError(f"servers must lie in [1, {p - 1}], got {servers!r}")
     if chunks < 1:
         raise ValueError(f"chunks must be >= 1, got {chunks!r}")
-    if warmup is None:
-        warmup = max(1, chunks // 10)
-    if cooldown is None:
-        cooldown = max(1, chunks // 10)
-    if warmup + cooldown >= chunks:
-        raise ValueError(
-            f"warmup+cooldown ({warmup}+{cooldown}) must leave records "
-            f"from {chunks} chunks"
-        )
+    warmup, cooldown = trim_defaults(chunks, warmup, cooldown, "chunks")
 
     work_dist = from_mean_cv2(work, work_cv2)
 
@@ -136,6 +123,7 @@ def run_workpile(
         work_stream.reserve(chunks)
         pick = node.pick_stream(servers)
         pick.reserve(chunks)
+        await_chunk = Wait(lambda n: n.memory[_GOT_CHUNK], label="await-chunk")
         unblocked_at = node.sim.now
         for _ in range(chunks):
             record = CycleRecord(node=node.id, start=unblocked_at)
@@ -143,9 +131,8 @@ def run_workpile(
             record.send = node.sim.now
             dest = pick.draw()
             node.memory[_GOT_CHUNK] = False
-            yield Send(dest, _chunk_request_handler, kind="request",
-                       payload=record)
-            yield Wait(lambda n: n.memory[_GOT_CHUNK], label="await-chunk")
+            yield Send(dest, _chunk_request_handler, "request", record)
+            yield await_chunk
             unblocked_at = record.reply_done
             node.cycles.append(record)
 
@@ -162,11 +149,7 @@ def run_workpile(
     )
     machine.start()
     client_ids = list(range(servers, p))
-    machine.run(
-        stop=lambda: all(
-            len(machine.nodes[c].cycles) >= warmup for c in client_ids
-        )
-    )
+    machine.run(stop=warmed_up(machine.nodes[servers:], warmup))
     machine.reset_stats()
     machine.run()
 

@@ -124,6 +124,23 @@ class TestFramingRegressions:
             assert "exceeds" in json.loads(raw)["error"]
             assert _closed(reader)
 
+    def test_refusal_drains_unread_body_before_closing(self, live):
+        """Lingering close: the refused request's unread body is drained,
+        so the peer reads the whole 413 and then an end-of-stream -- a
+        close with unread bytes would answer its next send with a reset."""
+        server, _, _ = live
+        head = (f"POST /v1/point HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {MAX_BODY + 1}\r\n\r\n").encode()
+        chunk = b"x" * 65536
+        with _dial(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(head + chunk)
+            status, headers, raw = _read_reply(reader)
+            assert status == 413
+            assert headers["connection"] == "close"
+            assert "exceeds" in json.loads(raw)["error"]
+            sock.sendall(chunk)
+            assert reader.read(1) == b""
+
     def test_peer_reset_before_reply_is_quiet(self, live, make_evaluator,
                                               capsys):
         server, _, client = live
