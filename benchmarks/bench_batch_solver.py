@@ -12,7 +12,8 @@ track the gap across PRs.
 The other way round, a batch of *one* point must not cost much more
 than the scalar evaluator: :func:`test_batch_of_one_overhead` gates
 ``evaluate_batch(name, [p]) / evaluate_point((name, p))`` for the
-fixed-point evaluators.
+fixed-point evaluators, whose lone serve misses take the batch
+companion.
 """
 
 import time
@@ -33,10 +34,23 @@ _SPEEDUP_FLOOR = 10.0
 _BATCH_OF_ONE_CEILING = 2.5
 
 _MACHINE = {"P": 32, "St": 40.0, "So": 200.0, "C2": 0.0, "W": 1000.0}
+#: Every batch-capable built-in: a lone serve miss takes the companion.
 _ONE_POINT = {
     "alltoall-model": _MACHINE,
     "sharedmem-model": _MACHINE,
     "workpile-model": dict(_MACHINE, Ps=4),
+    "alltoall-bounds": _MACHINE,
+    "workpile-bounds": dict(_MACHINE, Ps=4),
+    "multiclass-mva": {
+        "N0": 20, "N1": 12, "Z0": 2.0, "Z1": 1.0, "D0_0": 1.0,
+        "D0_1": 0.95, "D0_2": 0.4, "D1_0": 0.9, "D1_1": 1.0, "D1_2": 0.6,
+        "method": "schweitzer",
+    },
+    "general-model": dict(
+        {k: v for k, v in _MACHINE.items() if k not in ("P", "W")}, P=8,
+        **{f"W{c}": 500.0 + 100.0 * c for c in range(8)},
+        **{f"V{c}_{(c + 1) % 8}": 1.0 for c in range(8)},
+    ),
 }
 
 

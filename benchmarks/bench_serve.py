@@ -16,10 +16,13 @@ Three numbers pin the service's production story:
 - **Lone-miss latency**: one uncached ``alltoall-model`` point through
   :meth:`SweepService.point` (default batch window, sqlite cache)
   against a direct scalar ``evaluate_point`` -- the window closes early
-  for a lone miss and a batch of one takes the scalar kernel.  The
-  target is <= 1.5x (measured 1.2-1.4x); the in-test ceiling is 2x so
-  host noise cannot fail a healthy build, and ``perf_gate.py`` tracks
-  the ratio against its baseline.
+  for a lone miss, which is a batch of one through the evaluator's
+  batch companion: solved on Python floats, it costs less than the
+  scalar solve, so the whole served miss does too (measured
+  0.49-0.59x; 1.22-1.34x when a lone miss took the scalar kernel).  The
+  target is <= 1.5x; the in-test ceiling is 2x so host noise cannot
+  fail a healthy build, and ``perf_gate.py`` tracks the ratio against
+  its baseline.
 - **Keep-alive hit latency**: a cache hit over the client's persistent
   connection against one over a new TCP connection per request.  The
   kept-alive hit must be faster and free of delayed-ACK stalls.
@@ -240,7 +243,7 @@ def test_coalescing_ratio(benchmark, tmp_path):
 
 
 def test_lone_miss_latency(benchmark, tmp_path):
-    """A lone served miss costs about one scalar solve (target 1.5x)."""
+    """A lone served miss costs less than one scalar solve (ceiling 2x)."""
     base = {"P": 32, "St": 40.0, "So": 200.0, "C2": 0.0}
     fresh = (dict(base, W=1000.0 + 0.5 * i) for i in range(1 << 20))
     service = SweepService(tmp_path / "cache.sqlite")

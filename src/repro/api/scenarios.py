@@ -478,6 +478,9 @@ def _workpile_bounds(params: Mapping[str, object]) -> dict[str, object]:
 def _workpile_bounds_batch(
     params_list: Sequence[Mapping[str, object]],
 ) -> list[dict[str, object]]:
+    # One point: the two closed forms cost less than a one-row array.
+    if len(params_list) == 1:
+        return [_workpile_bounds(params_list[0])]
     # Validate each machine exactly like the scalar path, then evaluate
     # the LogP closed forms for the whole grid in one vectorized call.
     for params in params_list:
@@ -715,6 +718,10 @@ def _multiclass_model(params: Mapping[str, object]) -> dict[str, object]:
 def _multiclass_model_batch(
     params_list: Sequence[Mapping[str, object]],
 ) -> list[dict[str, object]]:
+    # One point: the scalar solve is bit-identical to the batch kernel
+    # and cheaper than a one-row batch of its non-scalar map.
+    if len(params_list) == 1:
+        return [_multiclass_model(params_list[0])]
     values, _ = _multiclass_solve_grouped(params_list, None)
     return values
 
@@ -893,6 +900,10 @@ def _general_model(params: Mapping[str, object]) -> dict[str, object]:
 def _general_model_batch(
     params_list: Sequence[Mapping[str, object]],
 ) -> list[dict[str, object]]:
+    # One point: the scalar solve is bit-identical to the batch kernel
+    # and cheaper than a one-row batch of its non-scalar map.
+    if len(params_list) == 1:
+        return [_general_model(params_list[0])]
     # solve_general_batch requires one shared node count P; a sweep that
     # crosses P becomes one masked batch call per P group, in order.
     models = [_general_model_from_params(p) for p in params_list]

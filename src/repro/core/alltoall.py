@@ -45,7 +45,11 @@ import numpy as np
 
 from repro.core.params import AlgorithmParams, LoPCParams, MachineParams
 from repro.core.results import ModelSolution
-from repro.core.solver import solve_fixed_point, solve_fixed_point_batch
+from repro.core.solver import (
+    solve_fixed_point,
+    solve_fixed_point_batch,
+    solve_fixed_point_one,
+)
 from repro.mva.bkt import bkt_residence_time
 from repro.mva.residual import residual_correction
 
@@ -208,6 +212,28 @@ class AllToAllModel:
 # ---------------------------------------------------------------------------
 # Vectorized batch entry points
 # ---------------------------------------------------------------------------
+def _alltoall_step(rw, rq, ry, w, st2, so, half_cv2, protocol_processor):
+    """One AMVA update of ``[Rw, Rq, Ry]``, as elementwise arithmetic.
+
+    The arguments are floats for one point or equal-length columns for
+    many; both give the same IEEE operations as
+    :meth:`AllToAllModel._map`.  ``st2`` is ``2 St`` and ``half_cv2``
+    is ``(C^2 - 1) / 2``.
+    """
+    r = rw + st2 + rq + ry  # Eq. 4.1
+    lam = 1.0 / r  # per-node arrival rate V*X = (1/P)(P/R)
+    uq = lam * so  # Eq. 5.4
+    qq = lam * rq  # Eq. 5.3
+    qy = lam * ry
+    rc = half_cv2 * uq  # residual correction, Uq == Uy
+    base = 1.0 + qq  # the common head of both sums, left to right
+    new_rq = so * (base + qy + rc + rc)  # Eq. 5.9
+    new_ry = so * (base + rc)  # Eq. 5.10
+    if protocol_processor:
+        return w, new_rq, new_ry  # shared-memory variant
+    return (w + so * qq) / (1.0 - uq), new_rq, new_ry  # BKT, Eq. 5.7
+
+
 def solve_batch_arrays(
     works: Sequence[float] | np.ndarray,
     latencies: Sequence[float] | np.ndarray,
@@ -227,8 +253,10 @@ def solve_batch_arrays(
     ``latencies`` (``St``), ``handler_times`` (``So``) and ``cv2s``
     (``C^2``) may each be a scalar or a vector.  The AMVA state
     ``[Rw, Rq, Ry]`` for *all* points advances through one compacted
-    :func:`repro.core.solver.solve_fixed_point_batch` iteration; each
-    point freezes at its scalar solver's convergence iteration, so the
+    :func:`repro.core.solver.solve_fixed_point_batch` iteration (a
+    single unstaged point runs the same iteration on floats through
+    :func:`~repro.core.solver.solve_fixed_point_one`); each point
+    freezes at its scalar solver's convergence iteration, so the
     returned values are bit-identical to per-point
     :meth:`AllToAllModel.solve` results.
 
@@ -269,34 +297,31 @@ def solve_batch_arrays(
         raise ValueError("handler_cv2 (C^2) must be >= 0")
 
     st2, half_cv2 = 2.0 * st, 0.5 * (cv2 - 1.0)
-
-    def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        so_r, w_r = so[rows], w[rows]
-        rw, rq, ry = state[:, 0], state[:, 1], state[:, 2]
-        out = np.empty_like(state)
-        r = rw + st2[rows] + rq + ry  # Eq. 4.1
-        lam = 1.0 / r  # per-node arrival rate V*X = (1/P)(P/R)
-        uq = lam * so_r  # Eq. 5.4
-        qq = lam * rq  # Eq. 5.3
-        qy = lam * ry
-        rc = half_cv2[rows] * uq  # residual correction, Uq == Uy
-        np.multiply(so_r, 1.0 + qq + qy + rc + rc, out=out[:, 1])  # Eq. 5.9
-        np.multiply(so_r, 1.0 + qq + rc, out=out[:, 2])  # Eq. 5.10
-        if protocol_processor:
-            out[:, 0] = w_r  # shared-memory variant
-        else:
-            np.divide(w_r + so_r * qq, 1.0 - uq, out=out[:, 0])  # BKT, Eq. 5.7
-        return out
-
-    # Contention-free starting point per point: [W, So, So].
-    initial = np.column_stack([w, so, so])
     # Deliberately warning-free: divergent points produce inf/nan in the
     # map and are frozen as failures by the batch kernel.
     with np.errstate(all="ignore"):
-        result = solve_fixed_point_batch(
-            update, initial, x0=x0, stager=stager, damping=damping,
-            tol=tol, max_iter=max_iter,
-        )
+        if w.size == 1 and stager is None:
+            w1, so1 = w.item(), so.item()
+            args = (w1, st2.item(), so1, half_cv2.item(), protocol_processor)
+            result = solve_fixed_point_one(
+                lambda state: _alltoall_step(*state, *args),
+                (w1, so1, so1), x0=x0, damping=damping, tol=tol,
+                max_iter=max_iter,
+            )
+        else:
+            def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                out = np.empty_like(state)
+                out[:, 0], out[:, 1], out[:, 2] = _alltoall_step(
+                    state[:, 0], state[:, 1], state[:, 2], w[rows],
+                    st2[rows], so[rows], half_cv2[rows], protocol_processor,
+                )
+                return out
+
+            # Contention-free starting point per point: [W, So, So].
+            result = solve_fixed_point_batch(
+                update, np.column_stack([w, so, so]), x0=x0, stager=stager,
+                damping=damping, tol=tol, max_iter=max_iter,
+            )
     rw, rq, ry = result.value[:, 0], result.value[:, 1], result.value[:, 2]
     r = rw + 2.0 * st + rq + ry
     lam = 1.0 / r

@@ -43,7 +43,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.params import MachineParams
-from repro.core.solver import solve_fixed_point, solve_fixed_point_batch
+from repro.core.solver import (
+    solve_fixed_point,
+    solve_fixed_point_batch,
+    solve_fixed_point_one,
+)
 from repro.mva.network import as_integer_array
 from repro.mva.residual import residual_correction
 
@@ -298,6 +302,22 @@ class ClientServerModel:
 # ---------------------------------------------------------------------------
 # Vectorized batch entry point
 # ---------------------------------------------------------------------------
+def _workpile_step(rs, fixed, so, clients, servers, half_cv2):
+    """One AMVA update of the server residence ``Rs`` (Eq. 6.5).
+
+    Elementwise: floats for one point or equal-length columns for many,
+    with the same IEEE operations as :meth:`ClientServerModel.solve`'s
+    map.  ``fixed`` is ``W + 2 St`` and ``half_cv2`` is
+    ``(C^2 - 1) / 2``.
+    """
+    r = fixed + rs + so  # Eq. 6.7
+    lam = clients / r / servers  # per-server arrival rate X/Ps
+    us = lam * so  # Eq. 6.4
+    qs = lam * rs  # Eq. 6.1 general form
+    rc = half_cv2 * us  # residual correction
+    return so * (1.0 + qs + rc)  # Eq. 6.5
+
+
 def solve_workpile_batch(
     works: Sequence[float] | np.ndarray,
     latencies: Sequence[float] | np.ndarray,
@@ -315,7 +335,9 @@ def solve_workpile_batch(
 
     Inputs broadcast to a common ``(points,)`` shape.  The scalar state
     ``[Rs]`` of every point advances through one compacted
-    :func:`repro.core.solver.solve_fixed_point_batch` iteration, so each
+    :func:`repro.core.solver.solve_fixed_point_batch` iteration (a
+    single point through its float replay,
+    :func:`~repro.core.solver.solve_fixed_point_one`), so each
     returned :class:`WorkpileSolution` is bit-identical to the matching
     ``ClientServerModel(machine, work).solve(servers)`` call, with
     ``meta["batched"] = True`` marking the provenance.
@@ -353,16 +375,6 @@ def solve_workpile_batch(
     clients = p - ps
     fixed, half_cv2 = w + 2.0 * st, 0.5 * (cv2 - 1.0)
 
-    def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        rs, so_r = state[:, 0], so[rows]
-        r = fixed[rows] + rs + so_r  # Eq. 6.7
-        lam = clients[rows] / r / ps[rows]  # per-server rate X/Ps
-        us = lam * so_r  # Eq. 6.4
-        qs = lam * rs  # Eq. 6.1 general form
-        rc = half_cv2[rows] * us  # residual correction
-        new_rs = so_r * (1.0 + qs + rc)  # Eq. 6.5
-        return new_rs[:, np.newaxis]
-
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim == 1:
@@ -370,10 +382,26 @@ def solve_workpile_batch(
     # Deliberately warning-free: divergent points produce inf/nan in the
     # map and are frozen as failures by the batch kernel.
     with np.errstate(all="ignore"):
-        result = solve_fixed_point_batch(
-            update, so[:, np.newaxis].copy(), x0=x0, damping=damping,
-            tol=tol, max_iter=max_iter,
-        )
+        if w.size == 1:
+            so1 = so.item()
+            args = (fixed.item(), so1, clients.item(), ps.item(),
+                    half_cv2.item())
+            result = solve_fixed_point_one(
+                lambda state: (_workpile_step(*state, *args),),
+                (so1,), x0=x0, damping=damping, tol=tol, max_iter=max_iter,
+            )
+        else:
+            def update(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                new_rs = _workpile_step(
+                    state[:, 0], fixed[rows], so[rows], clients[rows],
+                    ps[rows], half_cv2[rows],
+                )
+                return new_rs[:, np.newaxis]
+
+            result = solve_fixed_point_batch(
+                update, so[:, np.newaxis].copy(), x0=x0, damping=damping,
+                tol=tol, max_iter=max_iter,
+            )
     rs = result.value[:, 0]
     r = w + 2.0 * st + rs + so
     x = clients / r  # Eq. 6.2

@@ -13,11 +13,11 @@ Layers (all stdlib-only):
 :mod:`repro.serve.service`
     :class:`SweepService` -- singleflight request coalescing, a batch
     window that merges co-arriving analytic points into one vectorized
-    kernel solve (and closes at once for a lone miss, which takes the
-    scalar kernel), and a scheduler routing batch-capable evaluators
-    inline and sim evaluators to a persistent worker pool with async
-    :class:`Job` objects (progress streamed from :mod:`repro.obs`
-    events).
+    kernel solve (and closes at once for a lone miss, a batch of one
+    through the same companion), and a scheduler routing batch-capable
+    evaluators inline and sim evaluators to a persistent worker pool
+    with async :class:`Job` objects (progress streamed from
+    :mod:`repro.obs` events).
 :mod:`repro.serve.http`
     The JSON-over-HTTP front end: a threading TCP server speaking the
     small HTTP/1.1 subset below, with persistent connections.

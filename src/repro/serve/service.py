@@ -26,9 +26,9 @@ are counted; the window closes once that count is zero and nothing
 arrived in the last 5% of it, and waits the full ``batch_window`` only
 while requests keep arriving.  The leader that opened the window then
 solves it on its own thread: co-arriving distinct points merge into
-one batched kernel solve, and a lone miss is solved by the scalar
-evaluator, which is bit-identical to a batch of one and cheaper.  A
-failing cache write never fails the request: the value is served and
+one batched kernel solve, and a lone miss is a batch of one through the
+same companion, bit-identical to the scalar evaluator and cheaper than
+it.  A failing cache write never fails the request: the value is served and
 ``cache.put_failed`` counts the lost write.
 
 Sweep jobs (:meth:`SweepService.submit_sweep`) are routed by the same
@@ -113,10 +113,13 @@ class _Batcher:
     arrived for the last ``_QUIET * window``: then no one else is about
     to join.  It drains everything pending and solves it on its own
     thread; the next flight queued opens a new window.  Requests that
-    co-arrive share one ``evaluate_batch`` call per evaluator; a group
-    of exactly one flight takes the scalar ``evaluate_point`` instead,
-    which is bit-identical and cheaper.  So a lone miss is solved by
-    its own request thread with no hand-off at all.  The window only
+    co-arrive share one ``evaluate_batch`` call per evaluator, and a
+    lone miss is a batch of one: the fixed-point companions solve it
+    on Python floats (:func:`repro.core.solver.solve_fixed_point_one`)
+    and the others answer it with their scalar function, so it costs
+    less than a scalar solve and is bit-identical to one.  A lone miss
+    is solved by its own request thread with no hand-off at all.  The
+    window only
     ever delays cache *misses* of batch-capable evaluators; warm hits
     never come here.
     """
@@ -183,12 +186,9 @@ class _Batcher:
             if len(flights) > 1:
                 metrics.inc("serve.batch.merged", len(flights) - 1)
             try:
-                if len(flights) == 1:
-                    records = [evaluate_point((evaluator, flights[0].params))]
-                else:
-                    records = evaluate_batch(
-                        evaluator, [f.params for f in flights]
-                    )
+                records = evaluate_batch(
+                    evaluator, [f.params for f in flights]
+                )
             except BaseException as exc:  # propagate to every waiter
                 for flight in flights:
                     self.service._finish(flight, error=exc)

@@ -14,6 +14,7 @@ from repro.fuzz.generators import FUZZ_SCENARIOS, generate_points
 from repro.serve import SweepService
 from repro.sweep.cache import CacheStats, SqliteCache
 from repro.sweep.evaluators import evaluate_batch, evaluate_point
+from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
 
 
@@ -179,7 +180,7 @@ _BATCH_CAPABLE = [
 
 
 class TestLoneMissFastPath:
-    def test_lone_miss_skips_the_window_via_the_scalar_kernel(
+    def test_lone_miss_skips_the_window_via_the_batch_companion(
         self, tmp_path, make_evaluator
     ):
         name, calls = make_evaluator(batch=True)
@@ -191,8 +192,8 @@ class TestLoneMissFastPath:
             elapsed = time.perf_counter() - start
             counters = service.metrics_snapshot()["counters"]
         assert elapsed < 0.1
-        assert calls["point"] == 1
-        assert calls["batch"] == 0
+        assert calls["batch"] == 1
+        assert calls["point"] == 0
         assert outcome.values == {"R": 6.0}
         assert counters["serve.batch.solves"] == 1
         assert counters["serve.batch.requests"] == 1
@@ -212,7 +213,8 @@ class TestLoneMissFastPath:
             finally:
                 service._batcher.settle()
         assert 0.19 <= elapsed < 2.0
-        assert calls["point"] == 1
+        assert calls["batch"] == 1
+        assert calls["point"] == 0
 
     def test_coalesced_followers_do_not_hold_the_window_open(
         self, make_evaluator
@@ -284,8 +286,8 @@ class TestLoneMissFastPath:
         ids=[evaluator for _, evaluator in _BATCH_CAPABLE],
     )
     def test_scalar_equals_batch_of_one_bitwise(self, scenario, evaluator):
-        """What lets a lone miss skip the batch kernel: the scalar
-        evaluator returns exactly the batch-of-one record."""
+        """What lets a lone miss take the batch companion: a batch of
+        one returns exactly the scalar evaluator's record."""
         for params in generate_points(scenario, 16, seed=12):
             merged = resolve_params(evaluator, params)
             try:
@@ -302,6 +304,45 @@ class TestLoneMissFastPath:
                 meta.pop("wall_time")
                 meta.pop("batched", None)
             assert scalar["meta"] == batch["meta"], params
+
+    def test_served_lone_miss_stores_a_one_point_sweep_record(
+        self, tmp_path
+    ):
+        params = {"P": 32, "St": 40.0, "So": 200.0, "C2": 0.0,
+                  "W": 1234.5}
+        with SweepService(tmp_path / "served.sqlite") as service:
+            outcome = service.point("alltoall-model", params)
+            served = service.cache.get(outcome.key)
+        swept_cache = SqliteCache(tmp_path / "swept.sqlite")
+        try:
+            run_sweep(
+                SweepSpec(name="lone", evaluator="alltoall-model",
+                          base=params),
+                cache=swept_cache,
+            )
+            swept = swept_cache.get(outcome.key)
+        finally:
+            swept_cache.close()
+        assert served["values"] == swept["values"]
+        assert sorted(served["meta"]) == sorted(swept["meta"])
+        assert served["meta"]["batched"] is True
+        assert outcome.meta["batched"] is True
+
+    @pytest.mark.parametrize("scenario,evaluator", [
+        ("general", "general-model"),
+        ("multiclass", "multiclass-mva"),
+    ])
+    def test_served_lone_miss_equals_the_scalar_evaluator(
+        self, scenario, evaluator
+    ):
+        with SweepService() as service:
+            for params in generate_points(scenario, 6, seed=5):
+                merged = resolve_params(evaluator, params)
+                expected = evaluate_point((evaluator, merged))["values"]
+                got = service.point(evaluator, merged, resolved=True)
+                assert json.dumps(got.values, sort_keys=True) == (
+                    json.dumps(expected, sort_keys=True)
+                ), params
 
 
 class _FailingPutCache:
