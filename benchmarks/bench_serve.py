@@ -57,6 +57,7 @@ from repro.sweep.evaluators import evaluate_point
 from repro.sweep.spec import GridAxis
 
 _THROUGHPUT_FLOOR = 0.8
+_THROUGHPUT_ROUNDS = 7
 _LATENCY_CEILING_S = 0.05
 _COALESCE_CLIENTS = 8
 _COALESCE_DEADLINE_S = 10.0
@@ -100,31 +101,32 @@ class _LiveServer:
         self.service.close()
 
 
-def _best_of(func, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_served_sweep_throughput(benchmark):
-    """Submit+fetch over HTTP keeps >= 0.8x direct run_sweep throughput."""
+    """Submit+fetch over HTTP keeps >= 0.8x direct run_sweep throughput.
+
+    Direct and served rounds alternate and each side keeps its best, so
+    a load burst on a busy host hits both sides rather than one.  The
+    served job streams its events and progress while it runs, as every
+    job does, so this gate also holds an inline job's live telemetry to
+    costing next to nothing.
+    """
     spec = _grid_400()
     n_points = 400
-    direct_elapsed, direct = _best_of(lambda: run_sweep(spec))
-
     live = _LiveServer()
     try:
         def served_round():
             job = live.client.submit(spec)
             return live.client.result(job)
 
-        served = benchmark.pedantic(served_round, iterations=1, rounds=3)
-        served_elapsed, _ = _best_of(served_round, repeats=1)
-        served_elapsed = min(served_elapsed, benchmark.stats.stats.min)
+        benchmark.pedantic(served_round, iterations=1, rounds=3)
+        direct_elapsed = served_elapsed = float("inf")
+        for _ in range(_THROUGHPUT_ROUNDS):
+            start = time.perf_counter()
+            direct = run_sweep(spec)
+            direct_elapsed = min(direct_elapsed, time.perf_counter() - start)
+            start = time.perf_counter()
+            served = served_round()
+            served_elapsed = min(served_elapsed, time.perf_counter() - start)
     finally:
         live.close()
 

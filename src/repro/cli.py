@@ -38,10 +38,11 @@ numbers should use the defaults.  With ``--out``, each experiment writes
 
 ``--metrics FILE`` records solver/simulator/cache telemetry
 (:mod:`repro.obs`) during a ``sweep`` or ``scenario`` run and writes the
-snapshot as JSON; ``--progress`` prints live per-chunk progress lines to
-stderr; ``--events FILE`` streams structured JSONL events.  ``stats``
-renders a ``--metrics`` file back into tables.  Telemetry never changes
-results -- values and cache keys are bit-identical either way.
+snapshot as JSON; ``--progress`` prints live progress lines to stderr
+as points finish; ``--events FILE`` streams structured JSONL events.
+``stats`` renders a ``--metrics`` file back into tables.  Telemetry
+never changes what runs -- values and cache keys are bit-identical
+either way.
 
 ``--jobs N`` evaluates sweep points on ``N`` worker processes (``0`` =
 one per CPU); ``--seed`` overrides the experiment's simulation seed so

@@ -318,6 +318,9 @@ def solve_fixed_point_batch(
     force-activated cold rather than stalling the solve.
     ``stager=None`` leaves the solve loop bit-identical to the unstaged
     path.
+
+    The active telemetry bundle's ``retire`` hook, when set, hears how
+    many points each iteration retired (the sweep runner's progress).
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
@@ -358,6 +361,7 @@ def solve_fixed_point_batch(
     trajectory: list[float] | None = (
         [] if tel is not None and tel.events is not None else None
     )
+    retire = tel.retire if tel is not None else None
 
     keep = 1.0 - damping
     xw = x[rows]  # the working set: the active rows' states, contiguous
@@ -409,6 +413,8 @@ def solve_fixed_point_batch(
         if any_retired:
             converged[rows[done]] = True
             rows, xw = rows[~retired], xw[~retired]
+            if retire is not None:
+                retire(int(np.count_nonzero(retired)))
         if not staging:
             continue
         active = np.zeros(n_points, dtype=bool)

@@ -306,10 +306,14 @@ def _iterate_compacted(
 
     A row's arithmetic never depends on which other rows share the
     working set, so every row sees exactly the updates, stopping rule
-    and iteration count of a solve on its own.
+    and iteration count of a solve on its own.  The active telemetry
+    bundle's ``retire`` hook, when set, hears how many rows each such
+    iteration retired.
     """
     if not rows.size:
         return
+    tel = _obs_context.active()
+    retire = tel.retire if tel is not None else None
     working = [arr[rows] for arr in inputs]
     results = None
     for iteration in range(1, max_iter + 1):
@@ -322,6 +326,8 @@ def _iterate_compacted(
             out[rows] = res
         iterations[rows] = iteration
         converged[rows[retired]] = True
+        if retire is not None:
+            retire(int(np.count_nonzero(retired)))
         results = None
         keep = ~retired
         rows = rows[keep]

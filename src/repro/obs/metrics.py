@@ -129,8 +129,13 @@ class MetricsRegistry:
 
         The batch kernels push per-point iteration vectors through this;
         the reduction happens in numpy, the registry sees one update.
+        A one-point array (a one-point solve's) takes :meth:`observe`
+        instead of three numpy reductions; the summary is the same.
         """
         arr = np.asarray(values, dtype=float)
+        if arr.size == 1:
+            self.observe(name, arr.item())
+            return
         if arr.size == 0:
             return
         count = int(arr.size)

@@ -34,9 +34,10 @@ it.  A failing cache write never fails the request: the value is served and
 Sweep jobs (:meth:`SweepService.submit_sweep`) are routed by the same
 rule: batch-capable evaluators run inline at submit time (one warm
 vectorized solve, job is done when submit returns), sim evaluators go
-to the persistent worker pool as an async :class:`Job` whose progress
-streams out of an in-memory :class:`~repro.obs.EventLog` (the runner's
-``sweep.start``/``sweep.chunk``/``sweep.finish`` events).
+to the persistent worker pool as an async :class:`Job`.  Either way the
+job's progress and its in-memory :class:`~repro.obs.EventLog` (the
+runner's ``sweep.start``/``sweep.chunk``/``sweep.finish`` events)
+follow the sweep as it runs.
 """
 
 from __future__ import annotations
@@ -491,11 +492,6 @@ class SweepService:
             self.metrics.gauge("serve.jobs.queue_depth", depth)
 
     def _run_job(self, job: Job) -> None:
-        # Live event/progress streaming forces the runner off the staged
-        # single-call batch path into chunked dispatch; inline jobs are
-        # done before any client could poll them, so only pool jobs --
-        # the ones genuinely worth watching -- pay for it.
-        live = job.route == "pool"
         job.state = "running"
         job.started = time.time()
         try:
@@ -504,15 +500,14 @@ class SweepService:
                     job.spec,
                     cache=self.cache,
                     warm_start=job.warm_start,
-                    events=job.events if live else None,
-                    progress=job._progress if live else None,
+                    events=job.events,
+                    progress=job._progress,
                 )
         except BaseException as exc:
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = "error"
         else:
             job.result = result
-            job._progress(len(result), len(result), {})
             job.state = "done"
         job.finished = time.time()
 

@@ -16,6 +16,9 @@ return records in task order.
     pure functions of their params and every stochastic point carries an
     explicit seed, parallel and serial execution produce bit-identical
     results.
+
+Both report each finished task to the active telemetry bundle's
+``retire`` hook when one is set (the sweep runner's progress).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.obs import context as _obs_context
 from repro.sweep.evaluators import evaluate_point
@@ -35,27 +38,42 @@ __all__ = ["ParallelExecutor", "SerialExecutor", "get_executor"]
 Task = tuple[str, dict]
 
 
-def _record_dispatch(metrics, workers: int, records: list[dict],
-                     elapsed: float) -> None:
-    """Fold one executor dispatch into the active metrics registry.
+def _drain(records: Iterable[dict], workers: int,
+           started: float) -> list[dict]:
+    """Collect one dispatch's records, in task order, into a list.
 
+    With a telemetry bundle active, each finished task goes to its
+    ``retire`` hook and the whole dispatch into its metrics registry.
     Worker processes never see the parent's registry; utilization is
     reconstructed parent-side from the per-record ``wall_time`` meta the
     evaluators already report (busy worker-seconds over the dispatch's
     worker-second budget).
     """
+    tel = _obs_context.active()
+    if tel is None:
+        return list(records)
+    out = []
+    for record in records:
+        out.append(record)
+        if tel.retire is not None:
+            tel.retire(1)
+    metrics = tel.metrics
+    if metrics is None:
+        return out
+    elapsed = time.perf_counter() - started
     metrics.gauge("sweep.executor.workers", workers)
     metrics.inc("sweep.executor.dispatches")
-    metrics.inc("sweep.executor.tasks", len(records))
+    metrics.inc("sweep.executor.tasks", len(out))
     busy = sum(
         float(r["meta"]["wall_time"])
-        for r in records
+        for r in out
         if "wall_time" in r.get("meta", {})
     )
     if elapsed > 0.0 and workers > 0:
         metrics.observe(
             "sweep.executor.utilization", busy / (workers * elapsed)
         )
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,15 +83,7 @@ class SerialExecutor:
     jobs: int = 1
 
     def map(self, tasks: Sequence[Task]) -> list[dict]:
-        metrics = _obs_context.current_metrics()
-        if metrics is None:
-            return [evaluate_point(task) for task in tasks]
-        started = time.perf_counter()
-        records = [evaluate_point(task) for task in tasks]
-        _record_dispatch(
-            metrics, 1, records, time.perf_counter() - started
-        )
-        return records
+        return _drain(map(evaluate_point, tasks), 1, time.perf_counter())
 
 
 @dataclass(frozen=True)
@@ -112,18 +122,14 @@ class ParallelExecutor:
         workers = min(self.jobs, len(tasks))
         if workers == 1:
             return SerialExecutor().map(tasks)
-        metrics = _obs_context.current_metrics()
         started = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
+            # Drained lazily: records arrive in task order as chunks finish.
+            return _drain(
                 pool.map(evaluate_point, tasks,
-                         chunksize=self._chunksize(len(tasks)))
+                         chunksize=self._chunksize(len(tasks))),
+                workers, started,
             )
-        if metrics is not None:
-            _record_dispatch(
-                metrics, workers, records, time.perf_counter() - started
-            )
-        return records
 
 
 def get_executor(jobs: int | None) -> SerialExecutor | ParallelExecutor:

@@ -13,8 +13,9 @@
    the executor (serial, or a process pool when ``jobs > 1``), in point
    order;
 4. persist fresh records back to the cache, one batched write at the
-   end of each dispatch (so an interrupted sweep resumes from its
-   finished dispatches, and overlapping sweeps share work);
+   end of each dispatch -- the whole miss list, or each refinement pass
+   of a pass-by-pass warm start (so an interrupted warm sweep resumes
+   from its finished passes, and overlapping sweeps share work);
 5. assemble a :class:`~repro.sweep.results.SweepResult` whose metadata
    reports cache traffic, total simulator events, and per-point compute
    time -- the numbers benchmark JSONs track across PRs.
@@ -29,11 +30,13 @@ Telemetry (:mod:`repro.obs`) threads through three keyword arguments --
 an enclosing ``obs.telemetry(...)`` block installed (explicit wins).
 The bundle is activated around evaluation so every instrumented layer
 underneath (solver loops, batch kernels, simulator, executors) reports
-into it.  Cache misses are evaluated in chunks *only* when a progress
-reporter or event sink is attached -- chunking a batch kernel changes
-wall-clock bookkeeping but never values or cache keys, and the
-metrics-only path stays single-shot so the disabled/metrics overhead
-gate measures the same dispatch shape.
+into it.  Telemetry never picks the dispatch plan -- the backend and
+``warm_start`` alone do.  With a progress reporter or event sink
+attached, the bundle also carries a ``retire`` hook: the batch kernels
+report the rows each iteration retires and the executors each finished
+task, and the runner turns those counts into at most
+:data:`_PROGRESS_UPDATES` progress updates and ``sweep.chunk`` events
+from inside the one dispatch.
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ from __future__ import annotations
 import math
 import time
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from repro.api.scenario import Backend, get_backend, resolve_params
-from repro.obs import EventLog, MetricsRegistry, Telemetry, as_progress
+from repro.obs import MetricsRegistry, Telemetry
 from repro.obs import context as _obs_context
 from repro.sweep.cache import (
     SOLVER_VERSION,
@@ -67,8 +71,9 @@ __all__ = ["check_spec", "run_sweep"]
 
 CacheLike = Union[CacheBackend, ResultCache, str, Path, None]
 
-#: Target number of progress updates over a sweep's cache misses.
-_PROGRESS_CHUNKS = 20
+#: Most progress updates (and ``sweep.chunk`` events) a sweep sends
+#: while its misses evaluate, the last one at the total included.
+_PROGRESS_UPDATES = 20
 
 #: Keys of the routing split, in reporting order.
 _ROUTES = ("cached", "batch", "scalar", "sim")
@@ -201,9 +206,9 @@ class _WarmScheduler:
     (:data:`_WARM_STRIDES`): the sparse first pass solves cold, later
     passes are seeded by guarded polynomial interpolation
     (:func:`_lagrange_seeds`) through the nearest already-converged states
-    of the same column, which by construction *bracket* them.  The
-    passes are the chunk boundaries (:attr:`boundaries`), so each
-    dispatch stays wide enough for the batch kernels to vectorize over.
+    of the same column, which by construction *bracket* them.  Each pass
+    (:attr:`boundaries`) is one dispatch of the pass-by-pass route, wide
+    enough for the batch kernels to vectorize over.
     Columns with a single usable donor copy it; columns with none copy
     the nearest solved point of the same signature in span-normalized
     parameter space; points with no usable donor start cold (seed
@@ -298,7 +303,7 @@ class _WarmScheduler:
             #: Refinement level per entry of :attr:`order` (staging input).
             self.levels = [item[0] for item in leveled]
             lo = 0
-            #: Chunk ranges over :attr:`order`, one per refinement pass.
+            #: Ranges over :attr:`order`, one per refinement pass.
             self.boundaries: list[tuple[int, int]] = []
             for level in range(len(_WARM_STRIDES)):
                 hi = lo + sum(1 for item in leveled if item[0] == level)
@@ -409,8 +414,8 @@ class _WarmScheduler:
         """An in-solve activation stager over :attr:`order`, or ``None``.
 
         ``None`` when there is nothing to stage (no numeric axis, or a
-        single refinement pass), in which case the caller should fall
-        back to the chunked pass-by-pass dispatch.
+        single refinement pass), in which case the caller runs the
+        passes one dispatch each.
         """
         if not self.numeric or len(self.boundaries) < 2:
             return None
@@ -536,42 +541,6 @@ class _WarmStager:
         return group.rows, seeds
 
 
-def _resolve_telemetry(
-    metrics: "MetricsRegistry | bool | None",
-    progress: object,
-    events: object,
-) -> tuple[Telemetry, bool]:
-    """Merge explicit telemetry arguments with the ambient bundle.
-
-    Explicit arguments win; ``None`` falls back to whatever an enclosing
-    ``obs.telemetry(...)`` block installed.  ``metrics=True`` creates a
-    fresh registry (read it back from ``SweepResult`` metadata).
-    Returns the bundle plus whether this call opened the event sink
-    (and therefore must close it).
-    """
-    ambient = _obs_context.active()
-    if metrics is True:
-        registry = MetricsRegistry()
-    elif metrics is False:
-        registry = None
-    elif metrics is not None:
-        registry = metrics
-    else:
-        registry = ambient.metrics if ambient is not None else None
-    own_events = False
-    if events is not None:
-        own_events = not isinstance(events, EventLog)
-        log = EventLog.coerce(events)
-    else:
-        log = ambient.events if ambient is not None else None
-    if progress is not None:
-        reporter = as_progress(progress)
-    else:
-        reporter = ambient.progress if ambient is not None else None
-    tel = Telemetry(metrics=registry, events=log, progress=reporter)
-    return tel, own_events
-
-
 def _route(meta: dict) -> str:
     """Which path produced a record: cached / batch / scalar / sim."""
     if meta.get("cached"):
@@ -581,6 +550,112 @@ def _route(meta: dict) -> str:
     if "events" in meta:
         return "sim"
     return "scalar"
+
+
+class _Reporter:
+    """Throttled progress updates and ``sweep.chunk`` events of one sweep.
+
+    The runner sends the first update, at the cache hits, and the last,
+    at the total once the records are assembled.  In between, the
+    dispatch calls :meth:`retired` through the telemetry bundle's
+    ``retire`` hook with every batch of points it finishes, and an
+    update goes out each time another ``1/_PROGRESS_UPDATES`` of the
+    misses is done.
+    """
+
+    def __init__(self, tel: Telemetry, spec_name: str, total: int,
+                 hits: int, cache_hits: int, routing: dict) -> None:
+        self.tel = tel
+        self.spec_name = spec_name
+        self.total = total
+        self.hits = hits
+        self.cache_hits = cache_hits
+        self.routing = routing  # of the records assembled so far
+        self.step = max(1, math.ceil((total - hits) / _PROGRESS_UPDATES))
+        self.done = self.sent = hits
+        self.started = time.perf_counter()
+
+    def retired(self, n: int) -> None:
+        # Capped: a kernel run inside an executor task reports too.
+        self.done = min(self.done + n, self.total)
+        if self.done - self.sent >= self.step and self.done < self.total:
+            self.send(self.done)
+
+    def send(self, done: int) -> None:
+        finished = done - self.hits
+        eta = (
+            (self.total - done) * (time.perf_counter() - self.started)
+            / finished
+            if finished
+            else None
+        )
+        tel = self.tel
+        if tel.events is not None and done > self.sent:
+            tel.events.emit(
+                "sweep.chunk",
+                spec=self.spec_name,
+                done=done,
+                total=self.total,
+                chunk_points=done - self.sent,
+                eta=eta,
+            )
+        self.sent = done
+        if tel.progress is not None:
+            tel.progress.update(
+                done,
+                self.total,
+                {
+                    "spec": self.spec_name,
+                    "cache_hits": self.cache_hits,
+                    "routing": dict(self.routing),
+                    "eta": eta,
+                },
+            )
+
+
+def _run_warm(spec: SweepSpec, backend: Backend,
+              misses: "list[tuple[int, str, dict]]",
+              absorb) -> "dict[str, object]":
+    """Evaluate ``misses`` warm-started; returns the warm-start stats.
+
+    A staged evaluator rides every refinement pass in one solver call:
+    later levels sit dormant inside the masked solve and wake with
+    interpolated seeds as their donors converge, so one column's
+    straggler cannot pin every pass's depth and the dispatch cost is
+    paid once.  The others run pass by pass, each pass seeded from the
+    states the earlier ones converged to and persisted by ``absorb``
+    as it finishes.
+    """
+    scheduler = _WarmScheduler(spec, misses)
+    stager = scheduler.stager() if backend.staged else None
+    if stager is not None:
+        order = scheduler.order
+        fresh, _ = evaluate_batch_warm(
+            spec.evaluator,
+            [p for _, _, p in order],
+            [None] * len(order),
+            stager=stager,
+        )
+        absorb(order, fresh)
+        chunk_seeded = [stager.seeded]
+    else:
+        chunk_seeded = []
+        for lo, hi in scheduler.boundaries:
+            chunk = scheduler.order[lo:hi]
+            seeds = scheduler.seeds(lo, hi)
+            fresh, states = evaluate_batch_warm(
+                spec.evaluator, [p for _, _, p in chunk], seeds
+            )
+            scheduler.absorb(lo, hi, states)
+            absorb(chunk, fresh)
+            chunk_seeded.append(sum(1 for seed in seeds if seed is not None))
+    seeded = sum(chunk_seeded)
+    return {
+        "chunks": len(chunk_seeded),
+        "seeded": seeded,
+        "cold": len(misses) - seeded,
+        "chunk_seeded": chunk_seeded,
+    }
 
 
 def run_sweep(
@@ -628,9 +703,9 @@ def run_sweep(
     warm_start:
         If True and the evaluator advertises a warm-start companion
         (the analytic LoPC evaluators do), cache misses are reordered
-        along the swept numeric axes and evaluated in chunks, each
-        chunk's solver iterations seeded by polynomial extrapolation of
-        the previously converged chunks' states -- same fixed points to
+        along the swept numeric axes and evaluated coarse to fine, each
+        refinement pass seeded by polynomial interpolation of the
+        states the coarser passes converged to -- same fixed points to
         within solver tolerance, in roughly half the AMVA iterations on
         dense grids.  Warm-starting is an execution strategy, not a
         model parameter: cache keys are unchanged, so warm and cold
@@ -645,24 +720,24 @@ def run_sweep(
         ``"telemetry"``.
     progress:
         A :class:`~repro.obs.ProgressReporter`, a bare ``(done, total,
-        info)`` callable, or ``None``.  Attaching one switches miss
-        evaluation to chunks so updates arrive while the sweep runs.
+        info)`` callable, or ``None``.  It hears the cache hits, then up
+        to :data:`_PROGRESS_UPDATES` updates from inside the dispatch,
+        the last at the total.
     events:
         An :class:`~repro.obs.EventLog`, a JSONL path, an open file, or
-        ``None``.  A path opened here is closed before returning.
+        ``None``.  A path opened here is closed before returning.  Each
+        progress update past the cache hits is a ``sweep.chunk`` event.
 
     Telemetry never changes results: enabled and disabled runs produce
     byte-identical value tables and cache keys (asserted by the
     bit-identity tests).
     """
-    tel, own_events = _resolve_telemetry(metrics, progress, events)
-    if not tel.enabled:
-        return _run_sweep(spec, cache, jobs, executor, batch, warm_start, None)
+    tel, own_events = _obs_context.resolve(
+        metrics, events, progress, fallback=_obs_context.active()
+    )
     try:
-        with _obs_context.activate(tel):
-            return _run_sweep(
-                spec, cache, jobs, executor, batch, warm_start, tel
-            )
+        return _run_sweep(spec, cache, jobs, executor, batch, warm_start,
+                          tel if tel.enabled else None)
     finally:
         if own_events and tel.events is not None:
             tel.events.close()
@@ -744,62 +819,47 @@ def _run_sweep(
         warm_func = backend.warm if warm_start and use_batch else None
         total = len(points)
         hits = total - len(misses)
-        # Fresh records wait here until their dispatch finishes, then
-        # go to the store in one batched write (flush), so a sweep
-        # interrupted between dispatches keeps every finished one.
-        unwritten: list[tuple[str, dict]] = []
+        cache_hits = hits if store is not None else 0
+        routing = dict.fromkeys(_ROUTES, 0)
+        routing["cached"] = hits
+        reporter = None
+        if tel is not None and (
+            tel.progress is not None or tel.events is not None
+        ):
+            reporter = _Reporter(tel, spec.name, total, hits, cache_hits,
+                                 routing)
 
-        def absorb(index: int, key: "str | None", params: dict,
-                   outcome: dict) -> None:
-            values, meta = outcome["values"], outcome["meta"]
-            if store is not None:
-                unwritten.append((
-                    key,
-                    {
-                        "evaluator": spec.evaluator,
-                        "params": params,
-                        "values": values,
-                        "meta": meta,
-                        "solver_version": SOLVER_VERSION,
-                    },
-                ))
-            fresh_meta = dict(meta, cached=False)
-            if key is not None:
-                fresh_meta["key"] = key
-            records[index] = PointRecord(
-                index=index,
-                params=params,
-                values=values,
-                meta=fresh_meta,
-            )
-
-        def flush() -> None:
+        def absorb(chunk: "list[tuple[int, str, dict]]",
+                   outcomes: "list[dict]") -> None:
+            # One batched write per dispatch: a sweep interrupted between
+            # the passes of a pass-by-pass warm start keeps every
+            # finished pass.
+            unwritten = []
+            for (index, key, params), outcome in zip(chunk, outcomes):
+                values, meta = outcome["values"], outcome["meta"]
+                if store is not None:
+                    unwritten.append((
+                        key,
+                        {
+                            "evaluator": spec.evaluator,
+                            "params": params,
+                            "values": values,
+                            "meta": meta,
+                            "solver_version": SOLVER_VERSION,
+                        },
+                    ))
+                fresh_meta = dict(meta, cached=False)
+                if key is not None:
+                    fresh_meta["key"] = key
+                records[index] = PointRecord(
+                    index=index,
+                    params=params,
+                    values=values,
+                    meta=fresh_meta,
+                )
+                routing[_route(fresh_meta)] += 1
             if unwritten:
                 put_many(store, unwritten)
-                unwritten.clear()
-
-        def evaluate(chunk: "list[tuple[int, str, dict]]") -> list[dict]:
-            params_list = [p for _, _, p in chunk]
-            if batch_func is not None:
-                return evaluate_batch(spec.evaluator, params_list)
-            return executor.map([(spec.evaluator, p) for p in params_list])
-
-        def report(done: int, eta: "float | None") -> None:
-            if tel is None or tel.progress is None:
-                return
-            routing = dict.fromkeys(_ROUTES, 0)
-            for record in records.values():
-                routing[_route(record.meta)] += 1
-            tel.progress.update(
-                done,
-                total,
-                {
-                    "spec": spec.name,
-                    "cache_hits": hits if store is not None else 0,
-                    "routing": routing,
-                    "eta": eta,
-                },
-            )
 
         if tel is not None and tel.events is not None:
             tel.events.emit(
@@ -807,161 +867,46 @@ def _run_sweep(
                 spec=spec.name,
                 evaluator=spec.evaluator,
                 points=total,
-                cache_hits=hits if store is not None else 0,
+                cache_hits=cache_hits,
                 cache_misses=len(misses),
                 batched=batch_func is not None,
             )
 
-        # Chunked evaluation exists for live feedback only: the
-        # metrics-only (and disabled) paths keep the one-shot dispatch
-        # the overhead gate times.  Chunking the batch kernels is safe
-        # because per-point masking makes every point's trajectory
-        # independent of its batch-mates.  The warm-start path is
-        # *always* chunked, at the scheduler's refinement passes --
-        # later passes are seeded from earlier passes' converged
-        # states, so the feedback loop needs exactly those boundaries
-        # (and each pass stays wide enough to vectorize over).
-        live = tel is not None and (
-            tel.progress is not None or tel.events is not None
-        )
+        # One dispatch plan per backend and warm_start setting; attached
+        # telemetry only hears from inside it, through the retire hook.
         warm_stats: "dict[str, object] | None" = None
-        if warm_func is not None and misses:
-            scheduler = _WarmScheduler(spec, misses)
-            done = hits
-            report(done, None)
-            miss_started = time.perf_counter()
-            seeded_total = 0
-            chunk_seeded: list[int] = []
-            stager = scheduler.stager() if backend.staged else None
-            if stager is not None:
-                # Staged activation: every refinement pass rides one
-                # solver call -- later levels sit dormant inside the
-                # masked solve and wake with interpolated seeds as
-                # their donors converge, so one column's straggler
-                # cannot pin every pass's depth and the per-call
-                # dispatch cost is paid once.
-                chunk = scheduler.order
-                fresh, _ = evaluate_batch_warm(
-                    spec.evaluator,
-                    [p for _, _, p in chunk],
-                    [None] * len(chunk),
-                    stager=stager,
-                )
-                for (index, key, params), outcome in zip(chunk, fresh):
-                    absorb(index, key, params, outcome)
-                flush()
-                seeded_total = stager.seeded
-                chunk_seeded.append(seeded_total)
-                done = total
-                if tel is not None and tel.events is not None:
-                    tel.events.emit(
-                        "sweep.chunk",
-                        spec=spec.name,
-                        done=done,
-                        total=total,
-                        chunk_points=len(chunk),
-                        eta=0.0,
+        if reporter is not None:
+            reporter.send(hits)
+            tel = replace(tel, retire=reporter.retired)
+        with _obs_context.activate(tel):
+            if warm_func is None:
+                params_list = [p for _, _, p in misses]
+                if batch_func is not None:
+                    fresh = evaluate_batch(spec.evaluator, params_list)
+                else:
+                    fresh = executor.map(
+                        [(spec.evaluator, p) for p in params_list]
                     )
-                report(done, 0.0)
-            else:
-                for lo, hi in scheduler.boundaries:
-                    chunk = scheduler.order[lo:hi]
-                    seeds = scheduler.seeds(lo, hi)
-                    fresh, states = evaluate_batch_warm(
-                        spec.evaluator, [p for _, _, p in chunk], seeds
-                    )
-                    scheduler.absorb(lo, hi, states)
-                    for (index, key, params), outcome in zip(chunk, fresh):
-                        absorb(index, key, params, outcome)
-                    flush()
-                    n_seeded = sum(1 for seed in seeds if seed is not None)
-                    seeded_total += n_seeded
-                    chunk_seeded.append(n_seeded)
-                    done += len(chunk)
-                    done_misses = done - hits
-                    elapsed_miss = time.perf_counter() - miss_started
-                    eta = (
-                        (len(misses) - done_misses)
-                        * elapsed_miss / done_misses
-                        if done_misses
-                        else None
-                    )
-                    if tel is not None and tel.events is not None:
-                        tel.events.emit(
-                            "sweep.chunk",
-                            spec=spec.name,
-                            done=done,
-                            total=total,
-                            chunk_points=len(chunk),
-                            eta=eta,
-                        )
-                    report(done, eta)
-            warm_stats = {
-                "chunks": len(chunk_seeded),
-                "seeded": seeded_total,
-                "cold": len(misses) - seeded_total,
-                "chunk_seeded": chunk_seeded,
-            }
+                absorb(misses, fresh)
+            elif misses:
+                warm_stats = _run_warm(spec, backend, misses, absorb)
+        if reporter is not None:
+            reporter.send(total)
+        if warm_stats is not None:
             if registry is not None:
-                registry.inc("sweep.warm_start.seeded", seeded_total)
-                registry.inc(
-                    "sweep.warm_start.cold", len(misses) - seeded_total
-                )
+                registry.inc("sweep.warm_start.seeded", warm_stats["seeded"])
+                registry.inc("sweep.warm_start.cold", warm_stats["cold"])
             if tel is not None and tel.events is not None:
                 tel.events.emit(
                     "sweep.warm_start",
                     spec=spec.name,
                     points=len(misses),
-                    seeded=seeded_total,
-                    cold=len(misses) - seeded_total,
-                    chunk_seeded=chunk_seeded,
+                    seeded=warm_stats["seeded"],
+                    cold=warm_stats["cold"],
+                    chunk_seeded=warm_stats["chunk_seeded"],
                 )
-        elif not live or not misses:
-            report(hits, None)
-            fresh = evaluate(misses)
-            for (index, key, params), outcome in zip(misses, fresh):
-                absorb(index, key, params, outcome)
-            flush()
-            report(total, 0.0 if misses else None)
-        else:
-            chunk_size = max(1, math.ceil(len(misses) / _PROGRESS_CHUNKS))
-            if batch_func is None:
-                # Keep pool workers saturated: never dispatch a chunk
-                # smaller than one round of tasks per worker.
-                chunk_size = max(chunk_size, 4 * getattr(executor, "jobs", 1))
-            done = hits
-            report(done, None)
-            miss_started = time.perf_counter()
-            for lo in range(0, len(misses), chunk_size):
-                chunk = misses[lo:lo + chunk_size]
-                for (index, key, params), outcome in zip(
-                    chunk, evaluate(chunk)
-                ):
-                    absorb(index, key, params, outcome)
-                flush()
-                done += len(chunk)
-                done_misses = done - hits
-                elapsed_miss = time.perf_counter() - miss_started
-                eta = (
-                    (len(misses) - done_misses) * elapsed_miss / done_misses
-                    if done_misses
-                    else None
-                )
-                if tel is not None and tel.events is not None:
-                    tel.events.emit(
-                        "sweep.chunk",
-                        spec=spec.name,
-                        done=done,
-                        total=total,
-                        chunk_points=len(chunk),
-                        eta=eta,
-                    )
-                report(done, eta)
 
     ordered = tuple(records[point.index] for point in points)
-    routing = dict.fromkeys(_ROUTES, 0)
-    for record in ordered:
-        routing[_route(record.meta)] += 1
     events_total = sum(
         int(r.meta["events"]) for r in ordered if "events" in r.meta
     )
@@ -969,7 +914,6 @@ def _run_sweep(
         float(r.meta["wall_time"]) for r in ordered if "wall_time" in r.meta
     )
     elapsed = time.perf_counter() - started
-    cache_hits = len(ordered) - len(misses) if store is not None else 0
     cache_misses = len(misses) if store is not None else len(ordered)
 
     if registry is not None:

@@ -2,8 +2,8 @@
 
 Every sweep path -- analytic batch, analytic scalar, simulation -- is
 run twice, once with telemetry off and once with every sink attached
-(fresh metrics registry, progress callback forcing chunked evaluation,
-in-memory event log).  The value tables and the content-addressed cache
+(fresh metrics registry, progress callback fed from inside the
+dispatch, in-memory event log).  The value tables and the content-addressed cache
 keys must come out byte-for-byte identical: instrumentation only
 observes numbers the solvers already computed.
 """

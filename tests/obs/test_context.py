@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro import obs
 from repro.obs import EventLog, MetricsRegistry, Telemetry
 from repro.obs import context as obs_context
@@ -33,6 +35,39 @@ class TestActive:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
+        assert obs_context.active() is None
+
+
+class TestThreads:
+    def test_each_thread_sees_and_restores_its_own_bundle(self):
+        a = Telemetry(metrics=MetricsRegistry())
+        b = Telemetry(metrics=MetricsRegistry())
+        a_in, b_in, a_left = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def run_a():
+            with obs_context.activate(a):
+                a_in.set()
+                b_in.wait(10)  # b is active on the other thread now
+                seen["a"] = obs_context.active()
+            a_left.set()
+
+        def run_b():
+            a_in.wait(10)
+            with obs_context.activate(b):
+                b_in.set()
+                a_left.wait(10)  # a's block exited first
+                seen["b"] = obs_context.active()
+            seen["b_after"] = obs_context.active()
+
+        threads = [threading.Thread(target=run_a),
+                   threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"a": a, "b": b, "b_after": None}
         assert obs_context.active() is None
 
 

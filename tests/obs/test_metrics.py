@@ -8,6 +8,15 @@ import threading
 import numpy as np
 
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import _Summary
+
+
+def _fold_reduced(reg: MetricsRegistry, name: str, values) -> None:
+    """The multi-point numpy reduction of ``observe_many``, any size."""
+    arr = np.asarray(values, dtype=float)
+    reg._stats.setdefault(name, _Summary()).add_many(
+        int(arr.size), float(arr.sum()), float(arr.min()), float(arr.max())
+    )
 
 
 class TestCounters:
@@ -62,6 +71,27 @@ class TestObservations:
         for v in values:
             scalar.observe("x", float(v))
         assert bulk.as_dict()["stats"]["x"] == scalar.as_dict()["stats"]["x"]
+
+    def test_one_point_path_keeps_the_reduced_summary(self):
+        batches = [
+            np.array([7.0]),
+            np.array([3], dtype=np.int64),
+            [2.5],
+            np.array([[4.0]]),
+            np.array([5.0, 1.0, 9.0]),
+            np.array([12, 40, 6], dtype=np.int64),
+            (0.25,),
+            [1e-12, 3e-11],
+            np.array([np.inf]),
+        ]
+        for sequence in ([b for b in batches if np.size(b) == 1],
+                         [b for b in batches if np.size(b) > 1],
+                         batches, batches[::-1]):
+            fast, reduced = MetricsRegistry(), MetricsRegistry()
+            for values in sequence:
+                fast.observe_many("x", values)
+                _fold_reduced(reduced, "x", values)
+            assert fast.as_dict() == reduced.as_dict()
 
     def test_observe_many_empty_is_noop(self):
         reg = MetricsRegistry()

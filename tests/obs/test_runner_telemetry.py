@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import repro.sweep.runner as runner_mod
 from repro import obs
+from repro.api.scenario import _BACKENDS
 from repro.obs import EventLog, MetricsRegistry
-from repro.sweep import GridAxis, SweepSpec, run_sweep
+from repro.sweep import GridAxis, SweepSpec, register_evaluator, run_sweep
+from repro.sweep.cache import SqliteCache
+from repro.sweep.executors import SerialExecutor
 
 
 def _spec(n=5, **base_extra):
@@ -151,3 +161,265 @@ class TestExecutorTelemetry:
         util = d["stats"]["sweep.executor.utilization"]
         assert util["count"] >= 1
         assert 0.0 <= util["mean"] <= 1.5  # timer noise bound, not exact
+
+
+class _SpyCache(SqliteCache):
+    """A SqliteCache logging the keys of each batched call."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.calls: list[tuple[str, list[str]]] = []
+
+    def get_many(self, keys):
+        self.calls.append(("get_many", list(keys)))
+        return super().get_many(keys)
+
+    def put_many(self, items):
+        self.calls.append(("put_many", [key for key, _ in items]))
+        super().put_many(items)
+
+
+@pytest.fixture
+def dispatch_log(monkeypatch):
+    """Every evaluate_batch / evaluate_batch_warm / executor.map call of
+    the runner, with the points it was handed, in call order."""
+    log: list[tuple[str, list[dict]]] = []
+
+    real_batch = runner_mod.evaluate_batch
+    real_warm = runner_mod.evaluate_batch_warm
+    real_map = SerialExecutor.map
+
+    def batch(name, params_list):
+        log.append(("evaluate_batch", [dict(p) for p in params_list]))
+        return real_batch(name, params_list)
+
+    def warm(name, params_list, seeds, stager=None):
+        log.append(("evaluate_batch_warm", [dict(p) for p in params_list]))
+        return real_warm(name, params_list, seeds, stager=stager)
+
+    def executor_map(self, tasks):
+        log.append(("executor.map", [dict(p) for _, p in tasks]))
+        return real_map(self, tasks)
+
+    monkeypatch.setattr(runner_mod, "evaluate_batch", batch)
+    monkeypatch.setattr(runner_mod, "evaluate_batch_warm", warm)
+    monkeypatch.setattr(SerialExecutor, "map", executor_map)
+    return log
+
+
+@pytest.fixture
+def open_schema_evaluator():
+    """A runtime evaluator with no batch companion (the executor route)."""
+    name = "telemetry-test-open"
+
+    @register_evaluator(name)
+    def _point(params):
+        return {"R": float(params["W"]) * 2.0}
+
+    yield name
+    _BACKENDS.pop(name, None)
+
+
+def _multiclass_grid(n0=(2, 5, 9), points=12):
+    return SweepSpec(
+        name="tel-mc", evaluator="multiclass-mva",
+        base={"N1": 3, "Z0": 0.0, "Z1": 8.0, "D0_1": 1.0,
+              "D1_0": 2.0, "D1_1": 1.5, "method": "schweitzer"},
+        axes=(GridAxis("D0_0", tuple(np.linspace(0.5, 6.0, points))),
+              GridAxis("N0", n0)),
+    )
+
+
+def _staged_grid():
+    return SweepSpec(
+        name="tel-staged", evaluator="alltoall-model",
+        base={"P": 32, "St": 40.0, "C2": 0.0},
+        axes=(GridAxis("W", tuple(np.linspace(2.0, 2048.0, 12))),
+              GridAxis("So", (100.0, 300.0))),
+    )
+
+
+def _grid_400():
+    """The 20x20 near-balanced multi-class Schweitzer grid of
+    ``benchmarks/bench_serve.py``."""
+    pops = tuple(int(n) for n in np.linspace(4, 120, 20).round())
+    thinks = tuple(float(z) for z in np.linspace(0.0, 8.0, 20))
+    return SweepSpec(
+        name="tel-400", evaluator="multiclass-mva",
+        base={"N1": 20, "Z1": 1.0, "D0_0": 1.0, "D0_1": 0.95,
+              "D1_0": 0.9, "D1_1": 1.0, "method": "schweitzer"},
+        axes=(GridAxis("Z0", thinks), GridAxis("N0", pops)),
+    )
+
+
+class TestTelemetryNeverPicksThePlan:
+    """Plain and live (events + progress) runs make the same dispatch
+    and cache calls, with the same points, on every route."""
+
+    @pytest.mark.parametrize("route", [
+        "cold-batch", "staged-warm", "pass-by-pass-warm", "serial-executor",
+    ])
+    def test_same_calls_with_and_without_telemetry(
+        self, route, tmp_path, dispatch_log, open_schema_evaluator
+    ):
+        if route == "cold-batch":
+            spec, kwargs = _spec(40), {}
+        elif route == "staged-warm":
+            spec, kwargs = _staged_grid(), {"warm_start": True}
+        elif route == "pass-by-pass-warm":
+            spec, kwargs = _multiclass_grid(), {"warm_start": True}
+        else:
+            spec = SweepSpec(
+                name="tel-open", evaluator=open_schema_evaluator,
+                axes=(GridAxis("W", tuple(float(w) for w in range(12))),),
+            )
+            kwargs = {}
+        plain_cache = _SpyCache(tmp_path / "plain.sqlite")
+        plain = run_sweep(spec, cache=plain_cache, **kwargs)
+        plain_calls = list(dispatch_log)
+        dispatch_log.clear()
+
+        live_cache = _SpyCache(tmp_path / "live.sqlite")
+        log = EventLog()
+        updates = []
+        live = run_sweep(spec, cache=live_cache, events=log,
+                         progress=lambda d, t, i: updates.append(d), **kwargs)
+
+        assert plain_calls
+        assert dispatch_log == plain_calls
+        assert live_cache.calls == plain_cache.calls
+        assert [r.values for r in live] == [r.values for r in plain]
+        assert updates[0] == 0 and updates[-1] == len(spec)
+        assert updates == sorted(updates)
+        kinds = [e["kind"] for e in log.records]
+        assert kinds[0] == "sweep.start" and kinds[-1] == "sweep.finish"
+        assert "sweep.chunk" in kinds
+        if route == "pass-by-pass-warm":
+            passes = plain.metadata["warm_start"]["chunks"]
+            assert passes > 1
+            assert [name for name, _ in plain_calls] == (
+                ["evaluate_batch_warm"] * passes
+            )
+        else:
+            assert len(plain_calls) == 1
+
+
+class TestProgressFromInsideTheDispatch:
+    def test_one_batch_call_streams_progress(self, dispatch_log):
+        updates = []
+        run_sweep(_grid_400(),
+                  progress=lambda d, t, i: updates.append((d, t)))
+        assert [name for name, _ in dispatch_log] == ["evaluate_batch"]
+        assert len(dispatch_log[0][1]) == 400
+        dones = [d for d, _ in updates]
+        assert len(dones) >= 3
+        assert dones[0] == 0 and dones[-1] == 400
+        assert dones == sorted(dones)
+        assert all(t == 400 for _, t in updates)
+        # Throttled: the first update, at most _PROGRESS_UPDATES more.
+        assert len(dones) <= 1 + runner_mod._PROGRESS_UPDATES
+
+    def test_chunk_events_cover_the_misses(self):
+        log = EventLog()
+        run_sweep(_grid_400(), events=log)
+        chunks = [e for e in log.records if e["kind"] == "sweep.chunk"]
+        assert len(chunks) >= 2
+        assert sum(e["chunk_points"] for e in chunks) == 400
+        assert chunks[-1]["done"] == 400 and chunks[-1]["eta"] == 0.0
+
+    def test_kernel_without_retire_loop_sends_start_and_end(self):
+        spec = SweepSpec(
+            name="tel-bounds", evaluator="alltoall-bounds",
+            base={"P": 8, "St": 40.0, "So": 200.0},
+            axes=(GridAxis("W", (10.0, 20.0, 30.0)),),
+        )
+        updates = []
+        run_sweep(spec, progress=lambda d, t, i: updates.append(d))
+        assert updates == [0, 3]
+
+    def test_retire_hook_dormant_without_live_sinks(self, monkeypatch):
+        seen = []
+        real = runner_mod._obs_context.activate
+
+        def activate(tel):
+            seen.append(tel)
+            return real(tel)
+
+        monkeypatch.setattr(runner_mod._obs_context, "activate", activate)
+        run_sweep(_spec(), metrics=True)
+        assert [tel.retire for tel in seen] == [None]
+
+    def test_parallel_live_sweep_is_one_dispatch(self):
+        reg = MetricsRegistry()
+        updates = []
+        result = run_sweep(_spec(24), jobs=2, batch=False, metrics=reg,
+                           events=EventLog(),
+                           progress=lambda d, t, i: updates.append(d))
+        assert reg.counter("sweep.executor.dispatches") == 1
+        assert reg.counter("sweep.executor.tasks") == 24
+        assert result.metadata["routing"]["scalar"] == 24
+        assert updates[0] == 0 and updates[-1] == 24
+        assert updates == sorted(updates)
+
+
+class TestServeInlineJobStreams:
+    def test_inline_job_event_log(self, tmp_path):
+        from repro.serve import SweepService
+
+        with SweepService(tmp_path / "cache.sqlite") as service:
+            job = service.submit_sweep(_spec(20))
+            assert job.route == "inline" and job.state == "done"
+            kinds = [e["kind"] for e in job.events.records]
+            assert kinds[0] == "sweep.start"
+            assert kinds.count("sweep.chunk") >= 1
+            assert kinds[-1] == "sweep.finish"
+            assert job.status()["progress"] == {"done": 20, "total": 20}
+
+    def test_concurrent_inline_jobs_keep_their_own_telemetry(self):
+        from repro.serve import SweepService
+
+        jobs: dict[int, list] = {i: [] for i in range(4)}
+        errors = []
+
+        def submit(worker, service):
+            try:
+                for round_ in range(3):
+                    spec = SweepSpec(
+                        name=f"tel-w{worker}-r{round_}",
+                        evaluator="alltoall-model",
+                        base={"P": 8, "St": 40.0, "So": 200.0, "C2": 0.0},
+                        axes=(GridAxis("W", tuple(
+                            10.0 * (worker + 1) + w for w in range(12)
+                        )),),
+                    )
+                    jobs[worker].append(service.submit_sweep(spec))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SweepService(None) as service:
+                threads = [
+                    threading.Thread(target=submit, args=(i, service))
+                    for i in jobs
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for job in (job for worker in jobs.values() for job in worker):
+            assert job.state == "done"
+            records = job.events.records
+            kinds = [e["kind"] for e in records]
+            assert kinds[0] == "sweep.start" and kinds[-1] == "sweep.finish"
+            assert kinds.count("solver.fixed_point_batch") == 1
+            assert {e["spec"] for e in records if "spec" in e} == {
+                job.spec.name
+            }
+            assert job.status()["progress"] == {"done": 12, "total": 12}
+        assert obs.active() is None

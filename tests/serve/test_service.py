@@ -411,7 +411,7 @@ class TestScheduling:
             assert job.route == "inline"
             assert job.state == "done"  # finished at submit time
             assert job.result is not None
-            assert calls["batch"] >= 1  # chunking may split the grid
+            assert calls["batch"] == 1
             assert calls["point"] == 0  # the scalar path is never used
             counters = service.metrics_snapshot()["counters"]
             assert counters["serve.jobs.route.inline"] == 1

@@ -243,17 +243,19 @@ class TestBatchedCacheIO:
         assert [name for name, _ in cache.calls[1:]] == ["put_many"] * passes
         assert sum(cache.puts()) == 12
 
-    def test_live_chunked_sweep_writes_once_per_chunk(self, tmp_path):
-        cache = _SpyCache(tmp_path / "cache.sqlite")
-        log = EventLog()
+    def test_live_sweep_makes_the_plain_cache_calls(self, tmp_path):
         spec = _model_spec(works=tuple(np.linspace(2.0, 2048.0, 40)))
-        run_sweep(spec, cache=cache, events=log)
+        plain = _SpyCache(tmp_path / "plain.sqlite")
+        run_sweep(spec, cache=plain)
+        live = _SpyCache(tmp_path / "live.sqlite")
+        log = EventLog()
+        run_sweep(spec, cache=live, events=log)
+        assert plain.calls == [("get_many", 40), ("put_many", 40)]
+        assert live.calls == plain.calls
         chunks = [e["chunk_points"] for e in log.records
                   if e["kind"] == "sweep.chunk"]
-        assert len(chunks) > 1
-        assert cache.calls[0] == ("get_many", 40)
-        assert cache.puts() == chunks
-        assert len(cache.calls) == 1 + len(chunks)
+        assert len(chunks) >= 2
+        assert sum(chunks) == 40
 
     def test_interrupted_sweep_keeps_finished_dispatches(
         self, tmp_path, monkeypatch
@@ -261,20 +263,20 @@ class TestBatchedCacheIO:
         import repro.sweep.runner as runner_mod
 
         calls = []
-        real = runner_mod.evaluate_batch
+        real = runner_mod.evaluate_batch_warm
 
-        def fail_third(name, params_list):
+        def fail_third(name, params_list, seeds, stager=None):
             calls.append(len(params_list))
             if len(calls) == 3:
                 raise RuntimeError("interrupted")
-            return real(name, params_list)
+            return real(name, params_list, seeds, stager=stager)
 
-        monkeypatch.setattr(runner_mod, "evaluate_batch", fail_third)
+        monkeypatch.setattr(runner_mod, "evaluate_batch_warm", fail_third)
         cache = SqliteCache(tmp_path / "cache.sqlite")
-        spec = _model_spec(works=tuple(np.linspace(2.0, 2048.0, 40)))
+        spec = _multiclass_spec()
         with pytest.raises(RuntimeError, match="interrupted"):
-            run_sweep(spec, cache=cache, events=EventLog())
+            run_sweep(spec, cache=cache, warm_start=True)
         assert len(cache) == calls[0] + calls[1]
-        monkeypatch.setattr(runner_mod, "evaluate_batch", real)
+        monkeypatch.setattr(runner_mod, "evaluate_batch_warm", real)
         resumed = run_sweep(spec, cache=cache)
         assert resumed.metadata["cache_hits"] == calls[0] + calls[1]
