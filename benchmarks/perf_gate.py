@@ -3,8 +3,9 @@
 CI runs the batch-solver and simulator benchmarks with
 ``--benchmark-json=<raw>``, then calls this script to (a) distill each
 raw report into a compact, machine-readable ``BENCH_*.json`` artifact
--- points/sec (or events/sec) and speedup vs the scalar path per
-benchmark -- and (b) fail the build when any speedup regresses more
+-- points/sec (or events/sec) and the ``speedup`` ratio per benchmark
+(vs the scalar path; for the simulator, its events/sec over a bare
+heap loop's) -- and (b) fail the build when any speedup regresses more
 than ``--max-regression`` (default 30%) against the committed baseline
 under ``benchmarks/baselines/``.
 
@@ -68,8 +69,8 @@ def gate(current: dict, baseline: dict, max_regression: float) -> list[str]:
         floor = base_speedup * (1.0 - max_regression)
         if entry["speedup"] < floor:
             failures.append(
-                f"{name}: speedup {entry['speedup']:.1f}x fell below "
-                f"{floor:.1f}x (baseline {base_speedup:.1f}x minus "
+                f"{name}: speedup {entry['speedup']:.3g}x fell below "
+                f"{floor:.3g}x (baseline {base_speedup:.3g}x minus "
                 f"{max_regression:.0%} allowance)"
             )
     return failures
@@ -95,12 +96,12 @@ def main(argv: list[str] | None = None) -> int:
     for name, entry in sorted(current["benchmarks"].items()):
         speedup = entry.get("speedup")
         line = f"{name}: " + (
-            f"{speedup:.1f}x vs scalar" if speedup is not None else "-"
+            f"{speedup:.3g}x" if speedup is not None else "-"
         )
         if entry.get("batch_points_per_sec") is not None:
             line += f", {entry['batch_points_per_sec']:,.0f} points/sec"
-        elif entry.get("streamed_events_per_sec") is not None:
-            line += f", {entry['streamed_events_per_sec']:,.0f} events/sec"
+        elif entry.get("sim_events_per_sec") is not None:
+            line += f", {entry['sim_events_per_sec']:,.0f} events/sec"
         print(line)
     print(f"wrote {args.out}")
 

@@ -40,6 +40,7 @@ from repro.api.scenario import (
     Backend,
     Param,
     ParamFamily,
+    RetiredValueError,
     Scenario,
     UnsupportedBackend,
     find_backend,
@@ -66,6 +67,7 @@ __all__ = [
     "NonBlockingScenario",
     "Param",
     "ParamFamily",
+    "RetiredValueError",
     "Scenario",
     "SharedMemoryScenario",
     "Solution",

@@ -47,6 +47,7 @@ __all__ = [
     "Param",
     "ParamFamily",
     "REQUIRED",
+    "RetiredValueError",
     "Scenario",
     "UnsupportedBackend",
     "find_backend",
@@ -77,6 +78,23 @@ class UnsupportedBackend(ValueError):
         )
 
 
+class RetiredValueError(ValueError):
+    """A parameter value whose code path has been removed.
+
+    Subclasses :class:`ValueError`, so every entry point reports it like
+    any other invalid parameter (CLI exit 2, HTTP 400); carries the
+    parameter, the refused value and what was removed.
+    """
+
+    def __init__(self, name: str, value: object, removed: str):
+        self.param = name
+        self.value = value
+        self.removed = removed
+        super().__init__(
+            f"parameter {name!r}={value!r} is no longer supported: {removed}"
+        )
+
+
 class _Required:
     """Sentinel: a schema parameter with no default."""
 
@@ -101,6 +119,12 @@ class Param:
     documentation, they mark the parameter as an *optimizable axis*:
     ``optimize(over={name: (a, b)})`` validates the search box against
     them, and :meth:`Scenario.optimizable` lists them.
+
+    ``retired`` marks a parameter whose non-default values lost their
+    code path: it says what was removed, only the default is accepted,
+    and any other value raises :class:`RetiredValueError`.  The
+    parameter stays in the schema, so explicit defaults and the cache
+    keys that hold them stay valid.
     """
 
     name: str
@@ -110,6 +134,7 @@ class Param:
     control: bool = False
     lo: float | None = None
     hi: float | None = None
+    retired: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -126,6 +151,11 @@ class Param:
         if self.lo is not None and self.type not in (int, float):
             raise ValueError(
                 f"parameter {self.name!r}: lo/hi bounds need a numeric type"
+            )
+        if self.retired and self.default is REQUIRED:
+            raise ValueError(
+                f"parameter {self.name!r}: a retired parameter needs the "
+                "default it is pinned to"
             )
         if self.lo is not None and not float(self.lo) < float(self.hi):
             raise ValueError(
@@ -525,6 +555,8 @@ class Scenario:
             raise TypeError(
                 f"parameter {name!r} expects a string, got {value!r}"
             )
+        if isinstance(entry, Param) and entry.retired and value != entry.default:
+            raise RetiredValueError(name, value, entry.retired)
         return value
 
     @property

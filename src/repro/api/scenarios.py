@@ -113,8 +113,11 @@ _SIM_CONTROLS = (
     Param("latency_cv2", float, default=0.0, doc="wire-latency CV^2",
           control=True),
     Param("streams", bool, default=True,
-          doc="bulk-drawn RNG streams (False = seed-exact scalar path)",
-          control=True),
+          doc="bulk-drawn RNG streams (always True)",
+          control=True,
+          retired="the seed-exact scalar simulator path (streams=False) "
+                  "was removed; the simulator always draws from bulk "
+                  "RNG streams"),
 )
 
 
@@ -244,7 +247,6 @@ def _alltoall_sim(params: Mapping[str, object]) -> dict[str, object]:
         work=float(params["W"]),
         cycles=int(params.get("cycles", 300)),
         work_cv2=float(params.get("work_cv2", 0.0)),
-        use_streams=bool(params.get("streams", True)),
     )
     return {
         "R": measured.response_time,
@@ -319,10 +321,10 @@ class AllToAllScenario(Scenario):
             func=_alltoall_sim,
             uses=("P", "St", "So", "C2", "W", "cycles", "seed", "work_cv2",
                   "latency_cv2", "streams"),
-            # `streams` is result-affecting (bulk draws change the
-            # trajectory a fixed seed produces), so it lives in the
-            # cache key like any other parameter; the pre-stream scalar
-            # path stays reachable as streams=False.
+            # `streams` stays in the defaults, pinned to True, so every
+            # sim cache key and stored record keeps its bytes; the
+            # removed scalar path's streams=False is refused by the
+            # parameter check.
             defaults={"cycles": 300, "seed": 0, "work_cv2": 0.0,
                       "latency_cv2": 0.0, "streams": True},
             doc="event-driven simulation of the same workload",
@@ -449,7 +451,6 @@ def _workpile_sim(params: Mapping[str, object]) -> dict[str, object]:
         work=float(params["W"]),
         chunks=int(params.get("chunks", 250)),
         work_cv2=float(params.get("work_cv2", 0.0)),
-        use_streams=bool(params.get("streams", True)),
     )
     return {
         "X": measured.throughput,
@@ -999,7 +1000,6 @@ def _nonblocking_sim(params: Mapping[str, object]) -> dict[str, object]:
         window=_nonblocking_window(params),
         cycles=int(params.get("cycles", 400)),
         work_cv2=float(params.get("work_cv2", 0.0)),
-        use_streams=bool(params.get("streams", True)),
     )
     return {
         "R": measured.cycle_time,

@@ -32,7 +32,7 @@ from repro.sim.distributions import (
     Uniform,
     from_mean_cv2,
 )
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.messages import Message
 from repro.sim.network import ContentionFreeNetwork
@@ -46,8 +46,6 @@ from repro.sim.stats import (
 from repro.sim.streams import (
     IntegerStream,
     SampleStream,
-    ScalarIntegerStream,
-    ScalarSampleStream,
     StreamExhausted,
     StreamRegistry,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "ContentionFreeNetwork",
     "CycleRecord",
     "Done",
-    "EventHandle",
     "Exponential",
     "Gamma",
     "HyperExponential",
@@ -71,8 +68,6 @@ __all__ = [
     "Node",
     "NodeStats",
     "SampleStream",
-    "ScalarIntegerStream",
-    "ScalarSampleStream",
     "Send",
     "ServiceDistribution",
     "Simulator",

@@ -1,89 +1,37 @@
 """Discrete-event simulation core: clock, event queue, run loop.
 
 A deliberately small engine in the classic style: a binary heap of
-``(time, sequence, callback)`` entries.  The sequence number makes event
+``(time, sequence, func, arg)`` tuples.  The sequence number makes event
 ordering *deterministic* for simultaneous events (FIFO in scheduling
 order), which matters both for reproducibility and for the machine
 semantics (e.g. a handler-completion event scheduled before a message
-arrival at the same instant runs first).
+arrival at the same instant runs first).  The unique sequence number
+also decides every tie before the payload is compared, so the heap
+orders entries entirely in C.
 
-Cancellation is lazy: :meth:`Simulator.schedule` returns an
-:class:`EventHandle`; cancelling marks the handle and the run loop skips
-it when popped.  This is how the node model implements preempt-resume
-computation (the pending completion event of an interrupted computation
-is cancelled and a new one scheduled at resume).
+Events cannot be cancelled.  The node model implements preempt-resume
+computation by staling its pending completion instead (see
+:meth:`repro.sim.node.Node._compute_fired`).
 
-Two event representations share the one heap:
-
-* :meth:`Simulator.schedule` -- the original API: allocates an
-  :class:`EventHandle` (cancellable, closure callback).  The scalar
-  simulator path uses only this, unchanged from the seed.
-* :meth:`Simulator.schedule_call` -- the streamed fast path: pushes a
-  plain ``(time, seq, func, arg)`` tuple.  No handle, no closure, not
-  cancellable; the heap compares tuples entirely in C (the unique
-  ``seq`` decides ties before the payload is ever compared).  Message
-  deliveries and handler completions -- the bulk of all events, never
-  cancelled -- take this path, and :meth:`Simulator.run_fast` drains a
-  mixed heap with one pop per event.
-
-Mixed heaps order correctly because :class:`EventHandle` compares
-against tuples by ``(time, seq)`` (``__lt__``/``__gt__`` below).
+The machine's hot paths (message delivery, handler completion, compute
+completion) push entries straight onto :attr:`Simulator.queue` with a
+sequence number from :attr:`Simulator.next_seq`; :meth:`schedule_call`
+is the checked way to do the same.  :meth:`run` drains the heap with
+one pop per event.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from typing import Any, Callable
 
 from repro.obs import context as _obs_context
 
-__all__ = ["EventHandle", "Simulator"]
+__all__ = ["Simulator"]
 
-
-class EventHandle:
-    """A scheduled event that can be cancelled before it fires."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event dead; the run loop will skip it."""
-        self.cancelled = True
-        self.callback = _noop  # drop references early
-
-    def __lt__(self, other: "EventHandle | tuple") -> bool:
-        if type(other) is tuple:
-            other_time, other_seq = other[0], other[1]
-        else:
-            other_time, other_seq = other.time, other.seq
-        if self.time != other_time:
-            return self.time < other_time
-        return self.seq < other_seq
-
-    def __gt__(self, other: "EventHandle | tuple") -> bool:
-        # tuple.__lt__(EventHandle) returns NotImplemented, so mixed-heap
-        # sift comparisons fall back to this reflected operator.
-        if type(other) is tuple:
-            other_time, other_seq = other[0], other[1]
-        else:
-            other_time, other_seq = other.time, other.seq
-        if self.time != other_time:
-            return self.time > other_time
-        return self.seq > other_seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time!r}, seq={self.seq}, {state})"
-
-
-def _noop() -> None:
-    return None
+_INF = float("inf")
 
 
 class Simulator:
@@ -94,84 +42,35 @@ class Simulator:
     now:
         Current simulation time (cycles).  Only the run loop advances it.
     events_processed:
-        Count of callbacks executed (cancelled events excluded).
+        Count of callbacks executed (stale compute completions excluded).
+    queue:
+        The event heap of ``(time, seq, func, arg)`` tuples.
+    next_seq:
+        Hands out the increasing sequence numbers that order
+        simultaneous events FIFO.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self.events_processed: int = 0
-        self._heap: list[EventHandle | tuple] = []
-        self._seq: int = 0
+        self.queue: list[tuple] = []
+        self.next_seq: Callable[[], int] = itertools.count().__next__
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` cycles from now.
+    def schedule_call(self, delay: float, func: Callable[[Any], None],
+                      arg: Any = None) -> None:
+        """Schedule ``func(arg)`` to run ``delay`` cycles from now.
 
         ``delay`` must be >= 0; zero-delay events run after all events
         already scheduled for the current instant (FIFO).
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past: delay={delay!r}")
-        handle = EventHandle(self.now + delay, self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
-        return handle
-
-    def schedule_call(self, delay: float, func: Callable[[Any], None],
-                      arg: Any = None) -> None:
-        """Schedule ``func(arg)`` -- the allocation-free fast path.
-
-        No :class:`EventHandle` is created and the event cannot be
-        cancelled; ordering (time, then scheduling FIFO) is identical to
-        :meth:`schedule`.  The streamed simulator path uses this for
-        message deliveries and handler completions, which dominate the
-        event count and are never cancelled.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: delay={delay!r}")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, func, arg))
-        self._seq += 1
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at an absolute simulation time."""
-        return self.schedule(time - self.now, callback)
-
-    @property
-    def pending(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
-        return len(self._heap)
+        heapq.heappush(self.queue,
+                       (self.now + delay, self.next_seq(), func, arg))
 
     def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the queue is drained."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if type(entry) is tuple:
-                return entry[0]
-            if not entry.cancelled:
-                return entry.time
-            heapq.heappop(heap)
-        return None
-
-    def step(self) -> bool:
-        """Run the next live event.  Returns False if none remain."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if type(entry) is tuple:
-                self.now = entry[0]
-                self.events_processed += 1
-                entry[2](entry[3])
-                return True
-            if entry.cancelled:
-                continue
-            if entry.time < self.now:  # pragma: no cover - invariant guard
-                raise RuntimeError(
-                    f"event time {entry.time} precedes clock {self.now}"
-                )
-            self.now = entry.time
-            self.events_processed += 1
-            entry.callback()
-            return True
-        return False
+        """Time of the next event, or None if the queue is drained."""
+        return self.queue[0][0] if self.queue else None
 
     def run(
         self,
@@ -179,7 +78,7 @@ class Simulator:
         max_events: int = 100_000_000,
         stop: Callable[[], bool] | None = None,
     ) -> None:
-        """Drain the event queue.
+        """Drain the event queue, one heap pop per event.
 
         Parameters
         ----------
@@ -193,157 +92,91 @@ class Simulator:
             once it returns True (used to end a run when all threads have
             completed their measured cycles).
         """
+        limit = _INF if until is None else until
         metrics = _obs_context.current_metrics()
         if metrics is not None:
-            self._run_observed(until, max_events, stop, metrics)
+            self._run_observed(limit, max_events, stop, metrics)
             return
-        executed = 0
-        while True:
-            next_time = self.peek_time()
-            if next_time is None:
-                return
-            if until is not None and next_time > until:
-                self.now = until
-                return
-            self.step()
-            executed += 1
-            if stop is not None and stop():
-                return
-            if executed >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded max_events={max_events} "
-                    f"(clock at {self.now}); likely a livelock in the workload"
-                )
-
-    def run_fast(
-        self,
-        until: float | None = None,
-        max_events: int = 100_000_000,
-        stop: Callable[[], bool] | None = None,
-    ) -> None:
-        """Drain the event queue with one heap pop per event.
-
-        Semantically identical to :meth:`run` (same ordering, same
-        ``until``/``stop``/``max_events`` behaviour, same
-        ``events_processed`` accounting) but restructured for the
-        streamed simulator: the common case pops each entry exactly once
-        instead of peeking then stepping, dispatches ``schedule_call``
-        tuples without attribute lookups, and only falls back to the
-        peek-based loop when an ``until`` horizon needs events left on
-        the heap.  :meth:`run` is kept verbatim as the seed-scalar loop
-        so streamed-vs-scalar benchmarks compare against the original
-        path.
-        """
-        if until is not None:
-            self.run(until=until, max_events=max_events, stop=stop)
-            return
-        metrics = _obs_context.current_metrics()
-        if metrics is not None:
-            self._run_fast_observed(max_events, stop, metrics)
-            return
-        heap = self._heap
+        heap = self.queue
         pop = heapq.heappop
         executed = 0
-        while heap:
-            entry = pop(heap)
-            if type(entry) is tuple:
-                self.now = entry[0]
-                self.events_processed += 1
-                entry[2](entry[3])
+        try:
+            if stop is None:
+                while heap:
+                    entry = pop(heap)
+                    now, _, func, arg = entry
+                    if now > limit:
+                        heapq.heappush(heap, entry)
+                        self.now = limit
+                        return
+                    self.now = now
+                    func(arg)
+                    executed += 1
+                    if executed >= max_events:
+                        self._runaway(max_events)
             else:
-                if entry.cancelled:
-                    continue
-                self.now = entry.time
-                self.events_processed += 1
-                entry.callback()
-            executed += 1
-            if stop is not None and stop():
-                return
-            if executed >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded max_events={max_events} "
-                    f"(clock at {self.now}); likely a livelock in the "
-                    "workload"
-                )
+                while heap:
+                    entry = pop(heap)
+                    now, _, func, arg = entry
+                    if now > limit:
+                        heapq.heappush(heap, entry)
+                        self.now = limit
+                        return
+                    self.now = now
+                    func(arg)
+                    executed += 1
+                    if stop():
+                        return
+                    if executed >= max_events:
+                        self._runaway(max_events)
+        finally:
+            self.events_processed += executed
+
+    def _runaway(self, max_events: int) -> None:
+        raise RuntimeError(
+            f"simulation exceeded max_events={max_events} "
+            f"(clock at {self.now}); likely a livelock in the workload"
+        )
 
     # ------------------------------------------------------------------
-    # Observed run loops.  Semantically identical to run()/run_fast();
-    # chosen once at entry when a metrics registry is active, so the
-    # disabled loops above pay nothing per event.  Heap size is sampled
-    # once per event (in-callback transients between pushes are not
-    # seen, which is fine for a high-water mark).
+    # Observed run loop.  Semantically identical to run(); chosen once at
+    # entry when a metrics registry is active, so the disabled loops pay
+    # nothing per event.  Heap size is sampled once per event
+    # (in-callback transients between pushes are not seen, which is fine
+    # for a high-water mark).
     # ------------------------------------------------------------------
     def _run_observed(
         self,
-        until: float | None,
+        limit: float,
         max_events: int,
         stop: Callable[[], bool] | None,
         metrics,
     ) -> None:
         start = time.perf_counter()
         first_event = self.events_processed
-        high_water = len(self._heap)
-        try:
-            executed = 0
-            while True:
-                if len(self._heap) > high_water:
-                    high_water = len(self._heap)
-                next_time = self.peek_time()
-                if next_time is None:
-                    return
-                if until is not None and next_time > until:
-                    self.now = until
-                    return
-                self.step()
-                executed += 1
-                if stop is not None and stop():
-                    return
-                if executed >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events} "
-                        f"(clock at {self.now}); likely a livelock in the "
-                        "workload"
-                    )
-        finally:
-            self._record_run(metrics, start, first_event, high_water)
-
-    def _run_fast_observed(
-        self,
-        max_events: int,
-        stop: Callable[[], bool] | None,
-        metrics,
-    ) -> None:
-        start = time.perf_counter()
-        first_event = self.events_processed
-        heap = self._heap
+        heap = self.queue
         pop = heapq.heappop
         high_water = len(heap)
+        executed = 0
         try:
-            executed = 0
             while heap:
                 if len(heap) > high_water:
                     high_water = len(heap)
                 entry = pop(heap)
-                if type(entry) is tuple:
-                    self.now = entry[0]
-                    self.events_processed += 1
-                    entry[2](entry[3])
-                else:
-                    if entry.cancelled:
-                        continue
-                    self.now = entry.time
-                    self.events_processed += 1
-                    entry.callback()
+                now, _, func, arg = entry
+                if now > limit:
+                    heapq.heappush(heap, entry)
+                    self.now = limit
+                    return
+                self.now = now
+                func(arg)
                 executed += 1
                 if stop is not None and stop():
                     return
                 if executed >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events} "
-                        f"(clock at {self.now}); likely a livelock in the "
-                        "workload"
-                    )
+                    self._runaway(max_events)
         finally:
+            self.events_processed += executed
             self._record_run(metrics, start, first_event, high_water)
 
     def _record_run(

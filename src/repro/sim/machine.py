@@ -22,7 +22,6 @@ from repro.sim.distributions import ServiceDistribution, from_mean_cv2
 from repro.sim.engine import Simulator
 from repro.sim.network import ContentionFreeNetwork
 from repro.sim.node import Node
-from repro.sim.streams import StreamRegistry
 from repro.sim.threads import ThreadEffect
 
 __all__ = ["Machine", "MachineConfig"]
@@ -104,18 +103,10 @@ class MachineConfig:
 class Machine:
     """A running instance of the simulated active-message multiprocessor.
 
-    Parameters
-    ----------
-    use_streams:
-        Route every service/latency/destination draw through the
-        bulk-drawn :mod:`~repro.sim.streams` layer and run the engine's
-        fast event loop (the default).  ``False`` reproduces the seed
-        simulator exactly -- scalar draw-per-event sampling, handle-based
-        scheduling and the original run loop -- with bit-identical
-        trajectories to the pre-stream repo; benchmarks compare the two
-        paths end to end.  The per-node ``SeedSequence`` spawns are the
-        same in both modes; only the draw *order* against each generator
-        differs (see the README's determinism contract).
+    Every service, latency and destination draw goes through the
+    bulk-drawn :mod:`~repro.sim.streams` layer over one ``SeedSequence``
+    spawn per node (and one for the network); see the README's
+    determinism contract.
     """
 
     def __init__(
@@ -123,10 +114,8 @@ class Machine:
         config: MachineConfig,
         latency_dist: ServiceDistribution | None = None,
         handler_dist: ServiceDistribution | None = None,
-        use_streams: bool = True,
     ) -> None:
         self.config = config
-        self.use_streams = bool(use_streams)
         self.sim = Simulator()
         seeds = np.random.SeedSequence(config.seed).spawn(config.processors + 1)
         network_rng = np.random.default_rng(seeds[0])
@@ -138,9 +127,7 @@ class Machine:
             )
         else:
             latency = latency_dist
-        self.network = ContentionFreeNetwork(
-            self.sim, latency, network_rng, use_streams=self.use_streams
-        )
+        self.network = ContentionFreeNetwork(self.sim, latency, network_rng)
         if handler_dist is None:
             handler_dist = from_mean_cv2(config.handler_time, config.handler_cv2)
         self.handler_dist = handler_dist
@@ -155,13 +142,14 @@ class Machine:
                 network=self.network,
                 handler_dist=handler_dist,
                 rng=rng,
-                # The registry shares the node's generator, preserving
-                # the seed repo's one-SeedSequence-spawn-per-node seeding.
-                streams=StreamRegistry(rng, scalar=not self.use_streams),
             )
             for i, rng in enumerate(node_rngs)
         ]
         self.network.attach(self.nodes)
+        # Node.send pushes each delivery straight to its peer's deliver.
+        deliver = [node.deliver for node in self.nodes]
+        for node in self.nodes:
+            node._deliver = deliver
         self._threads_remaining = 0
         # Stream traffic already reported to a metrics registry, so a
         # machine run in phases (warm-up + measured) reports deltas.
@@ -210,10 +198,8 @@ class Machine:
         this with the event counts a point is expected to generate --
         handler dispatches per node and total message sends -- so the
         first refill covers the whole run instead of ramping up
-        geometrically.  A cheap no-op on scalar machines.
+        geometrically.
         """
-        if not self.use_streams:
-            return
         if latency_draws:
             self.network.reserve(latency_draws)
         if service_draws_per_node:
@@ -247,10 +233,7 @@ class Machine:
         deadlock).  An explicit ``stop`` predicate ends the run early
         (used for warm-up phases).
         """
-        if self.use_streams:
-            self.sim.run_fast(until=until, stop=stop, max_events=max_events)
-        else:
-            self.sim.run(until=until, stop=stop, max_events=max_events)
+        self.sim.run(until=until, stop=stop, max_events=max_events)
         metrics = _obs_context.current_metrics()
         if metrics is not None:
             self._record_stream_stats(metrics)
@@ -280,9 +263,8 @@ class Machine:
         refills = sum(node.streams.total_refills for node in self.nodes)
         draws = sum(node.streams.total_draws for node in self.nodes)
         latency_stream = self.network.latency_stream
-        if latency_stream is not None:
-            refills += latency_stream.refills
-            draws += latency_stream.draws
+        refills += latency_stream.refills
+        draws += latency_stream.draws
         prev_refills, prev_draws = self._streams_reported
         metrics.inc("sim.stream.refills", refills - prev_refills)
         metrics.inc("sim.stream.draws", draws - prev_draws)

@@ -25,6 +25,9 @@ __all__ = ["Message", "REQUEST", "REPLY"]
 REQUEST = "request"
 REPLY = "reply"
 
+#: The stamp of a lifecycle instant not reached yet.
+_UNSTAMPED = float("nan")
+
 
 class Message:
     """One active message in flight or in a node's hardware FIFO.
@@ -82,10 +85,10 @@ class Message:
         self.kind = kind
         self.payload = payload
         self.service_time = service_time
-        self.sent_at: float = float("nan")
-        self.arrived_at: float = float("nan")
-        self.dispatched_at: float = float("nan")
-        self.completed_at: float = float("nan")
+        self.sent_at: float = _UNSTAMPED
+        self.arrived_at: float = _UNSTAMPED
+        self.dispatched_at: float = _UNSTAMPED
+        self.completed_at: float = _UNSTAMPED
 
     @property
     def wire_time(self) -> float:

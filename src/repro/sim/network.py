@@ -35,19 +35,19 @@ __all__ = ["ContentionFreeNetwork"]
 class ContentionFreeNetwork:
     """Pure-delay interconnect between ``P`` nodes.
 
+    Wire delays come from :attr:`latency_stream`, a bulk-drawn
+    :class:`~repro.sim.streams.SampleStream` over the network's own
+    generator.  Nodes of a :class:`~repro.sim.machine.Machine` inject
+    through :meth:`repro.sim.node.Node.send`, which draws from the same
+    stream and pushes the delivery itself; :meth:`send` is the checked
+    entry for a message built elsewhere.
+
     Attributes
     ----------
-    messages_sent:
-        Total messages injected.
-    wire_time_total:
-        Accumulated wire time, so tests can verify the realised mean
-        latency matches the configured ``St``.
     latency_stream:
-        The bulk-drawn :class:`~repro.sim.streams.SampleStream` serving
-        wire delays when built with ``use_streams=True`` (the default
-        for :class:`~repro.sim.machine.Machine`); ``None`` in scalar
-        mode, where every send draws ``latency_dist.sample(rng)``
-        exactly like the seed simulator.
+        The stream every send draws its wire delay from.
+    on_send:
+        Optional tap called on every send (tracing / debugging).
     """
 
     def __init__(
@@ -55,7 +55,6 @@ class ContentionFreeNetwork:
         sim: Simulator,
         latency: float | ServiceDistribution,
         rng: np.random.Generator,
-        use_streams: bool = False,
     ) -> None:
         if isinstance(latency, ServiceDistribution):
             self.latency_dist: ServiceDistribution = latency
@@ -64,14 +63,8 @@ class ContentionFreeNetwork:
                 raise ValueError(f"latency must be >= 0, got {latency!r}")
             self.latency_dist = Constant(latency)
         self._sim = sim
-        self._rng = rng
-        self.latency_stream: SampleStream | None = (
-            SampleStream(self.latency_dist, rng) if use_streams else None
-        )
+        self.latency_stream = SampleStream(self.latency_dist, rng)
         self._nodes: Sequence["Node"] | None = None
-        self.messages_sent: int = 0
-        self.wire_time_total: float = 0.0
-        #: Optional tap called on every send (tracing / debugging).
         self.on_send: Callable[[Message], None] | None = None
 
     @property
@@ -91,9 +84,8 @@ class ContentionFreeNetwork:
         self._nodes = nodes
 
     def reserve(self, draws: int) -> None:
-        """Pre-size the latency stream for ``draws`` sends (no-op scalar)."""
-        if self.latency_stream is not None:
-            self.latency_stream.reserve(draws)
+        """Pre-size the latency stream for ``draws`` sends."""
+        self.latency_stream.reserve(draws)
 
     def send(self, message: Message) -> None:
         """Inject a message; it arrives ``latency`` cycles later."""
@@ -105,29 +97,20 @@ class ContentionFreeNetwork:
                 f"{len(self._nodes)} nodes"
             )
         message.sent_at = self._sim.now
-        stream = self.latency_stream
-        if stream is not None:
-            delay = stream.draw()
-            self.messages_sent += 1
-            self.wire_time_total += delay
-            if self.on_send is not None:
-                self.on_send(message)
-            # Deliveries are never cancelled: allocation-free tuple path.
-            self._sim.schedule_call(
-                delay, self._nodes[message.dest].deliver, message
-            )
-        else:
-            delay = self.latency_dist.sample(self._rng)
-            self.messages_sent += 1
-            self.wire_time_total += delay
-            if self.on_send is not None:
-                self.on_send(message)
-            dest = self._nodes[message.dest]
-            self._sim.schedule(delay, lambda: dest.deliver(message))
+        if self.on_send is not None:
+            self.on_send(message)
+        self._sim.schedule_call(self.latency_stream.draw(),
+                                self._nodes[message.dest].deliver, message)
+
+    @property
+    def messages_sent(self) -> int:
+        """Total messages injected (one latency draw each)."""
+        return self.latency_stream.draws
 
     @property
     def mean_realized_latency(self) -> float:
         """Mean wire time actually sampled so far."""
-        if self.messages_sent == 0:
+        sent = self.latency_stream.draws
+        if sent == 0:
             return 0.0
-        return self.wire_time_total / self.messages_sent
+        return self.latency_stream.drawn_sum / sent

@@ -21,25 +21,20 @@ tests compare against Little's law and the model's utilisation terms.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 import numpy as np
 
-from repro.sim.messages import Message
+from repro.sim.messages import REQUEST, Message
 from repro.sim.stats import NodeStats
-from repro.sim.streams import StreamRegistry
+from repro.sim.streams import IntegerStream, SampleStream, StreamRegistry
 from repro.sim.threads import Compute, Done, Send, ThreadEffect, Wait
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.distributions import ServiceDistribution
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
     from repro.sim.network import ContentionFreeNetwork
-    from repro.sim.streams import (
-        IntegerStream,
-        SampleStream,
-        ScalarIntegerStream,
-        ScalarSampleStream,
-    )
 
 __all__ = ["Node"]
 
@@ -61,19 +56,14 @@ class Node:
     sim:
         Shared simulation clock.
     network:
-        The interconnect for outgoing messages.
+        The interconnect; outgoing messages draw their wire delay from
+        its latency stream.
     handler_dist:
         Default service-time distribution for handlers dispatched here.
     rng:
-        Node-private random stream (handler times, workload choices).
-    streams:
-        Optional :class:`~repro.sim.streams.StreamRegistry` over ``rng``.
-        When given a *buffered* registry (the default for machines built
-        with ``use_streams=True``), handler service times come from a
-        bulk-drawn stream and handler completions are scheduled through
-        the engine's allocation-free fast path.  When omitted, a
-        seed-exact scalar registry is created and the node draws and
-        schedules exactly like the pre-stream simulator.
+        Node-private random stream (handler times, workload choices),
+        drawn in bulk through the node's
+        :class:`~repro.sim.streams.StreamRegistry`.
 
     Attributes
     ----------
@@ -84,7 +74,20 @@ class Node:
     cycles:
         Workload-appended list of cycle records (see
         :class:`repro.sim.stats.CycleRecord`).
+
+    The per-event paths (:meth:`deliver`, handler completion,
+    :meth:`send`) update :attr:`stats` inline -- the same arithmetic as
+    :meth:`NodeStats.on_arrival` / :meth:`NodeStats.on_completion` --
+    and push their events straight onto the engine's heap.
     """
+
+    __slots__ = (
+        "id", "sim", "network", "handler_dist", "rng", "streams",
+        "memory", "stats", "cycles", "on_thread_done", "tracer",
+        "_service_draw", "_latency_draw", "_queue", "_next_seq", "_deliver",
+        "_fifo", "_active", "_thread", "_next_effect", "_thread_state",
+        "_wait", "_remaining", "_compute_started", "_compute_epoch",
+    )
 
     def __init__(
         self,
@@ -93,22 +96,22 @@ class Node:
         network: "ContentionFreeNetwork",
         handler_dist: Any,
         rng: np.random.Generator,
-        streams: StreamRegistry | None = None,
     ) -> None:
         self.id = node_id
         self.sim = sim
         self.network = network
         self.handler_dist = handler_dist
         self.rng = rng
-        if streams is None:
-            streams = StreamRegistry(rng, scalar=True)
-        self.streams = streams
-        # In scalar mode the dispatch path must stay bit- and
-        # cost-identical to the seed simulator, so the stream is only
-        # materialised for buffered registries.
-        self._service_stream = (
-            None if streams.scalar else streams.stream(handler_dist)
-        )
+        # The registry shares the node's generator: one SeedSequence
+        # spawn per node seeds every draw the node makes.
+        self.streams = StreamRegistry(rng)
+        self._service_draw = self.streams.stream(handler_dist).draw
+        self._latency_draw = network.latency_stream.draw
+        self._queue = sim.queue
+        self._next_seq = sim.next_seq
+        #: Bound ``deliver`` of every node, indexed by id; the machine
+        #: fills it once its nodes exist.
+        self._deliver: Sequence[Callable[[Message], None]] = ()
         self.memory: dict[str, Any] = {}
         self.stats = NodeStats(node_id)
         self.cycles: list[Any] = []
@@ -116,14 +119,13 @@ class Node:
         self._fifo: deque[Message] = deque()
         self._active: Message | None = None
         self._thread: Generator[ThreadEffect, None, None] | None = None
+        self._next_effect: Callable[[], ThreadEffect] | None = None
         self._thread_state = _NO_THREAD
         self._wait: Wait | None = None
         self._remaining = 0.0
         self._compute_started = 0.0
-        self._completion: "EventHandle | None" = None
-        # Streamed mode schedules compute completions as plain tuples
-        # (no cancellable handle); preemption invalidates the pending
-        # one by bumping this epoch instead of cancelling.
+        # Compute completions cannot be cancelled; preemption stales the
+        # pending one by bumping this epoch (see _compute_fired).
         self._compute_epoch = 0
         #: Called once when the thread generator finishes.
         self.on_thread_done: Callable[["Node"], None] | None = None
@@ -161,6 +163,7 @@ class Node:
         if self._thread is not None:
             raise RuntimeError(f"node {self.id} already has a thread")
         self._thread = body(self)
+        self._next_effect = self._thread.__next__
         self._thread_state = _READY
         self._remaining = 0.0
 
@@ -176,29 +179,24 @@ class Node:
     def notify(self) -> None:
         """Hint that node state changed (handlers call this after wakes).
 
-        Resumption itself happens in :meth:`_resume_thread`, which runs
-        whenever the FIFO drains -- queued handlers always run first, so
-        this is deliberately a no-op that exists for workload readability.
+        Resumption itself happens at handler completion, whenever the
+        FIFO drains -- queued handlers always run first, so this is
+        deliberately a no-op that exists for workload readability.
         """
 
     # ------------------------------------------------------------------
     # Random streams (workload draws)
     # ------------------------------------------------------------------
-    def sample_stream(
-        self, dist: "ServiceDistribution"
-    ) -> "SampleStream | ScalarSampleStream":
-        """This node's stream for ``dist`` (bulk-buffered or seed-scalar).
+    def sample_stream(self, dist: "ServiceDistribution") -> SampleStream:
+        """This node's bulk-drawn stream for ``dist``.
 
         Workloads draw compute bursts and other per-cycle service values
         through this instead of ``dist.sample(node.rng)`` so the draws
-        are bulked on streamed machines and bit-identical to the seed on
-        scalar ones.
+        are bulked.
         """
         return self.streams.stream(dist)
 
-    def pick_stream(
-        self, high: int
-    ) -> "IntegerStream | ScalarIntegerStream":
+    def pick_stream(self, high: int) -> IntegerStream:
         """This node's uniform pick stream on ``[0, high)``.
 
         Replaces ``int(node.rng.integers(high))`` at the workload
@@ -212,171 +210,188 @@ class Node:
     def deliver(self, message: Message) -> None:
         """Message arrival from the network (interrupt or enqueue)."""
         now = message.arrived_at = self.sim.now
-        self.stats.on_arrival(message, now)
-        if self.tracer is not None:
-            self.tracer.record(
+        stats = self.stats
+        stats.handler_queue_area += stats.present * (now - stats.last_change)
+        stats.last_change = now
+        stats.present += 1
+        arrivals = stats.arrivals
+        kind = message.kind
+        arrivals[kind] = arrivals.get(kind, 0) + 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.record(
                 now, self.id, "message-arrived",
-                f"{message.kind} from node {message.source}",
+                f"{kind} from node {message.source}",
             )
         if self._active is not None:
             self._fifo.append(message)
-            if self.tracer is not None:
-                self.tracer.record(
+            if tracer is not None:
+                tracer.record(
                     now, self.id, "message-queued",
-                    f"{message.kind} from node {message.source} "
+                    f"{kind} from node {message.source} "
                     f"(fifo depth {len(self._fifo)})",
                 )
             return
         # Processor is running the thread (or idle): take the interrupt.
         if self._thread_state == _RUNNING:
-            self._preempt()
-        self._dispatch(message)
-
-    def _dispatch(self, message: Message) -> None:
-        message.dispatched_at = self.sim.now
+            self._preempt(now)
+        # Dispatch (as in _dispatch, inlined on the common path).
+        message.dispatched_at = now
         self._active = message
-        stream = self._service_stream
-        if message.service_time is not None:
-            service = message.service_time
-        elif stream is not None:
-            service = stream.draw()
-        else:
-            service = float(self.handler_dist.sample(self.rng))
+        service = message.service_time
+        if service is None:
+            service = self._service_draw()
+        if tracer is not None:
+            self._trace_dispatch(message, now, service)
+        heappush(self._queue,
+                 (now + service, self._next_seq(), Node._handler_end, self))
+
+    def _dispatch(self, message: Message, now: float) -> None:
+        """Start the handler of ``message`` at ``now``."""
+        message.dispatched_at = now
+        self._active = message
+        service = message.service_time
+        if service is None:
+            service = self._service_draw()
         if self.tracer is not None:
-            self.tracer.record(
-                self.sim.now, self.id, "handler-dispatched",
-                f"{message.kind} from node {message.source} "
-                f"(service {service:.2f})",
-            )
-        if stream is not None:
-            # Handler completions are never cancelled: take the
-            # allocation-free tuple path in streamed mode.
-            self.sim.schedule_call(service, Node._handler_end, self)
-        else:
-            self.sim.schedule(service, self._handler_end)
+            self._trace_dispatch(message, now, service)
+        heappush(self._queue,
+                 (now + service, self._next_seq(), Node._handler_end, self))
+
+    def _trace_dispatch(self, message: Message, now: float,
+                        service: float) -> None:
+        self.tracer.record(
+            now, self.id, "handler-dispatched",
+            f"{message.kind} from node {message.source} "
+            f"(service {service:.2f})",
+        )
 
     def _handler_end(self) -> None:
         message = self._active
-        assert message is not None, "handler completion without active handler"
-        now = self.sim.now
-        message.completed_at = now
-        self.stats.on_completion(message, now)
+        now = message.completed_at = self.sim.now
+        stats = self.stats
+        stats.handler_queue_area += stats.present * (now - stats.last_change)
+        stats.last_change = now
+        stats.present -= 1
+        kind = message.kind
+        completions = stats.completions
+        completions[kind] = completions.get(kind, 0) + 1
+        # Busy time clipped to the measurement window.
+        start = message.dispatched_at
+        if start < stats.reset_time:
+            start = stats.reset_time
+        if now > start:
+            busy = stats.busy_time
+            busy[kind] = busy.get(kind, 0.0) + (now - start)
         self._active = None
         if self.tracer is not None:
             self.tracer.record(
                 now, self.id, "handler-completed",
-                f"{message.kind} from node {message.source}",
+                f"{kind} from node {message.source}",
             )
         # Atomic handler effects occur at the completion instant.
         message.handler(self, message)
         if self._fifo:
-            self._dispatch(self._fifo.popleft())
-        else:
-            self._resume_thread()
-
-    # ------------------------------------------------------------------
-    # Thread scheduling internals
-    # ------------------------------------------------------------------
-    def _preempt(self) -> None:
-        if self._service_stream is None:
-            assert self._completion is not None
-            self._completion.cancel()
-            self._completion = None
-        else:
-            # Invalidate the pending completion tuple; when it fires it
-            # sees a stale epoch and counts itself back out.
-            self._compute_epoch += 1
-        ran = self.sim.now - self._compute_started
-        self._remaining -= ran
-        if self._remaining < 0.0:  # numerical guard
-            self._remaining = 0.0
-        self.stats.on_thread_ran(ran)
-        self._thread_state = _READY
-        if self.tracer is not None:
-            self.tracer.record(
-                self.sim.now, self.id, "compute-preempted",
-                f"{self._remaining:.2f} cycles remain",
-            )
-
-    def _resume_thread(self) -> None:
-        """Give the CPU back to the thread if it can use it (FIFO empty)."""
+            self._dispatch(self._fifo.popleft(), now)
+            return
+        # The FIFO drained: give the CPU back to the thread if it can
+        # use it.  Running/done/no-thread: nothing to do.
         state = self._thread_state
-        if state == _READY:
+        if state == _BLOCKED:
+            if self._wait.predicate(self):
+                self._wait = None
+                self._advance()
+        elif state == _READY:
             if self._remaining > 0.0:
                 self._start_compute()
             else:
                 self._advance()
-        elif state == _BLOCKED:
-            assert self._wait is not None
-            if self._wait.predicate(self):
-                self._wait = None
-                self._advance()
-        # running/done/no-thread: nothing to do.
 
-    def _start_compute(self) -> None:
-        self._compute_started = self.sim.now
-        self._thread_state = _RUNNING
+    # ------------------------------------------------------------------
+    # Thread scheduling internals
+    # ------------------------------------------------------------------
+    def _preempt(self, now: float) -> None:
+        # Stale the pending completion tuple; when it fires it sees an
+        # old epoch and counts itself back out.
+        self._compute_epoch += 1
+        ran = now - self._compute_started
+        self._remaining -= ran
+        if self._remaining < 0.0:  # numerical guard
+            self._remaining = 0.0
+        self.stats.thread_busy_time += ran
+        self._thread_state = _READY
         if self.tracer is not None:
             self.tracer.record(
-                self.sim.now, self.id, "compute-started",
-                f"{self._remaining:.2f} cycles",
+                now, self.id, "compute-preempted",
+                f"{self._remaining:.2f} cycles remain",
             )
-        if self._service_stream is None:
-            self._completion = self.sim.schedule(
-                self._remaining, self._compute_done
-            )
-        else:
-            self.sim.schedule_call(
-                self._remaining, Node._compute_fired,
-                (self, self._compute_epoch),
-            )
+
+    def _start_compute(self) -> None:
+        """Resume the preempted computation's remaining cycles."""
+        now = self._compute_started = self.sim.now
+        self._thread_state = _RUNNING
+        if self.tracer is not None:
+            self._trace_compute_start(now)
+        heappush(self._queue,
+                 (now + self._remaining, self._next_seq(),
+                  Node._compute_fired, (self, self._compute_epoch)))
+
+    def _trace_compute_start(self, now: float) -> None:
+        self.tracer.record(
+            now, self.id, "compute-started", f"{self._remaining:.2f} cycles",
+        )
 
     @staticmethod
     def _compute_fired(pair: "tuple[Node, int]") -> None:
-        """Streamed-mode completion: run unless preemption staled it.
+        """Compute completion: run unless preemption staled it.
 
-        The scalar path cancels a preempted completion before it fires,
-        so a stale firing here corrects ``events_processed`` back to the
-        seed's live-event accounting.
+        A stale firing is not a live event, so it takes itself back out
+        of ``events_processed``.
         """
         node, epoch = pair
         if epoch != node._compute_epoch:
             node.sim.events_processed -= 1
             return
-        node._compute_done()
-
-    def _compute_done(self) -> None:
-        self.stats.on_thread_ran(self.sim.now - self._compute_started)
-        self._remaining = 0.0
-        self._completion = None
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, self.id, "compute-finished")
-        self._advance()
+        now = node.sim.now
+        node.stats.thread_busy_time += now - node._compute_started
+        node._remaining = 0.0
+        if node.tracer is not None:
+            node.tracer.record(now, node.id, "compute-finished")
+        node._advance()
 
     def _advance(self) -> None:
         """Drive the generator until it computes, blocks, or finishes."""
-        assert self._active is None and not self._fifo, (
-            "thread advanced while handlers pending"
-        )
-        thread = self._thread
-        assert thread is not None
+        next_effect = self._next_effect
         while True:
             try:
-                effect = next(thread)
+                effect = next_effect()
             except StopIteration:
                 self._finish_thread()
                 return
-            if isinstance(effect, Compute):
-                if effect.duration <= 0.0:
+            kind = type(effect)
+            if kind is Compute:
+                duration = effect.duration
+                if duration <= 0.0:
+                    if duration < 0.0:
+                        raise ValueError(
+                            f"duration must be >= 0, got {duration!r}"
+                        )
                     continue
-                self._remaining = effect.duration
-                self._start_compute()
+                # Start the computation (as in _start_compute).
+                self._remaining = duration
+                now = self._compute_started = self.sim.now
+                self._thread_state = _RUNNING
+                if self.tracer is not None:
+                    self._trace_compute_start(now)
+                heappush(self._queue,
+                         (now + duration, self._next_seq(),
+                          Node._compute_fired, (self, self._compute_epoch)))
                 return
-            if isinstance(effect, Send):
+            if kind is Send:
                 self.send(effect.dest, effect.handler, effect.kind,
                           effect.payload, effect.service_time)
                 continue
-            if isinstance(effect, Wait):
+            if kind is Wait:
                 if effect.predicate(self):
                     continue
                 self._wait = effect
@@ -386,7 +401,7 @@ class Node:
                         self.sim.now, self.id, "thread-blocked", effect.label
                     )
                 return
-            if isinstance(effect, Done):
+            if kind is Done:
                 self._finish_thread()
                 return
             raise TypeError(
@@ -408,11 +423,26 @@ class Node:
         self,
         dest: int,
         handler: Callable[["Node", Message], None],
-        kind: str = "request",
+        kind: str = REQUEST,
         payload: Any = None,
         service_time: float | None = None,
     ) -> Message:
-        """Inject a message into the network from this node (zero cost)."""
+        """Inject a message into the network from this node (zero cost).
+
+        It arrives at node ``dest`` one wire delay (drawn from the
+        network's latency stream) from now.
+        """
+        deliver = self._deliver
+        if not 0 <= dest < len(deliver):
+            raise ValueError(
+                f"destination {dest} out of range for {len(deliver)} nodes"
+            )
         message = Message(self.id, dest, handler, kind, payload, service_time)
-        self.network.send(message)
+        now = message.sent_at = self.sim.now
+        tap = self.network.on_send
+        if tap is not None:
+            tap(message)
+        heappush(self._queue,
+                 (now + self._latency_draw(), self._next_seq(),
+                  deliver[dest], message))
         return message

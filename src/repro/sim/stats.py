@@ -30,9 +30,11 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleRecord:
     """Timestamps of one blocking compute/request cycle (Figure 4-3).
+
+    Slotted: every simulated cycle builds one.
 
     Attributes
     ----------

@@ -47,11 +47,8 @@ caveats, both documented in the README:
   scalar draws on the same generator, so buffer sizes are part of the
   determinism contract, exactly like the seed.
 
-The scalar adapters (:class:`ScalarSampleStream`,
-:class:`ScalarIntegerStream`) keep the seed repo's draw-per-event
-behaviour -- bit-identical values *and* cost -- behind the same
-interface, so ``Machine(config, use_streams=False)`` reproduces seed
-trajectories and benchmarks can compare the two paths end to end.
+The seed's draw-per-event path is gone: every simulator draw goes
+through a stream.
 
 :class:`StreamRegistry` owns one stream per ``(owner, distribution)``
 pair; each :class:`~repro.sim.node.Node` carries a registry over its
@@ -61,6 +58,8 @@ same way.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
@@ -73,8 +72,6 @@ __all__ = [
     "DEFAULT_MAX_BUFFER",
     "IntegerStream",
     "SampleStream",
-    "ScalarIntegerStream",
-    "ScalarSampleStream",
     "StreamExhausted",
     "StreamRegistry",
     "stream_sample",
@@ -112,6 +109,32 @@ def _check_refill(refill: str) -> str:
     return refill
 
 
+class _Exhausted:
+    """The draw chain's iterator once a ``refill="error"`` stream ran dry.
+
+    Raises :class:`StreamExhausted` on every draw until :meth:`prefill`
+    provisions fresh values; then it ends, and the chain moves on to
+    them.
+    """
+
+    __slots__ = ("stream",)
+
+    def __init__(self, stream: "_BulkStream") -> None:
+        self.stream = stream
+
+    def __iter__(self) -> "_Exhausted":
+        return self
+
+    def __next__(self):
+        stream = self.stream
+        if stream._dry:
+            raise StreamExhausted(
+                f"{stream._label()} exhausted after "
+                f"{stream.draws} draws (refill='error')"
+            )
+        raise StopIteration
+
+
 class _BulkStream:
     """Shared refillable-buffer machinery behind both stream types.
 
@@ -119,6 +142,10 @@ class _BulkStream:
     ``size`` values as a plain list) and :meth:`_label` (for error
     messages); everything else -- the buffering policy, geometric
     growth, reserve clamping and draw accounting -- lives here once.
+
+    ``draw()`` is the hot-path call.  It is the bound ``__next__`` of an
+    :func:`itertools.chain` over the successive buffers, so a draw runs
+    in C; only a buffer running dry resumes :meth:`_buffers` to refill.
     """
 
     __slots__ = (
@@ -126,9 +153,10 @@ class _BulkStream:
         "refill_policy",
         "max_buffer",
         "refills",
+        "draw",
         "_values",
-        "_pos",
-        "_len",
+        "_it",
+        "_dry",
         "_next_size",
         "_filled",
     )
@@ -146,11 +174,16 @@ class _BulkStream:
         self.max_buffer = max_buffer
         #: Number of bulk refills performed so far.
         self.refills = 0
+        # The current buffer and the iterator the draw chain reads it
+        # through; values appended to the buffer before the iterator
+        # ends are drawn in order.
         self._values: list = []
-        self._pos = 0
-        self._len = 0
+        self._it = iter(self._values)
+        self._dry = False
         self._next_size = initial
         self._filled = 0
+        #: One value from the buffer, refilling when it runs dry.
+        self.draw = itertools.chain.from_iterable(self._buffers()).__next__
 
     def _bulk_values(self, size: int) -> list:
         raise NotImplementedError  # pragma: no cover - abstract hook
@@ -158,16 +191,29 @@ class _BulkStream:
     def _label(self) -> str:
         raise NotImplementedError  # pragma: no cover - abstract hook
 
+    def _retire(self) -> None:
+        """Hook run just before the buffer is replaced (no-op here)."""
+
+    def _buffers(self):
+        """The buffers the draw chain reads, refilled as each runs dry."""
+        while True:
+            yield self._it
+            if self.refill_policy == "error":
+                self._dry = True
+                yield _Exhausted(self)
+            else:
+                self._fill()
+
     # ------------------------------------------------------------------
     @property
     def draws(self) -> int:
         """Values handed out so far (buffered-but-unseen ones excluded)."""
-        return self._filled - (self._len - self._pos)
+        return self._filled - self.buffered
 
     @property
     def buffered(self) -> int:
         """Values currently sitting in the buffer, ready to draw."""
-        return self._len - self._pos
+        return operator.length_hint(self._it)
 
     def reserve(self, draws: int) -> None:
         """Size the next refill so ``draws`` upcoming draws need one fill.
@@ -194,31 +240,23 @@ class _BulkStream:
         need = int(draws) - self.buffered
         if need <= 0:
             return
-        self._values = self._values[self._pos :] + self._bulk_values(need)
-        self._pos = 0
-        self._len = len(self._values)
+        if self._dry:
+            # The drained iterator cannot resume: start a fresh buffer,
+            # which the chain moves on to at the next draw.
+            self._retire()
+            self._values = self._bulk_values(need)
+            self._it = iter(self._values)
+            self._dry = False
+        else:
+            self._values.extend(self._bulk_values(need))
         self._filled += need
         self.refills += 1
 
-    def draw(self):
-        """One value from the buffer, refilling when it runs dry."""
-        pos = self._pos
-        if pos >= self._len:
-            self._fill()
-            pos = 0
-        self._pos = pos + 1
-        return self._values[pos]
-
     def _fill(self) -> None:
-        if self.refill_policy == "error":
-            raise StreamExhausted(
-                f"{self._label()} exhausted after "
-                f"{self.draws} draws (refill='error')"
-            )
         size = self._next_size
+        self._retire()
         self._values = self._bulk_values(size)
-        self._pos = 0
-        self._len = size
+        self._it = iter(self._values)
         self._filled += size
         self.refills += 1
         if self.refill_policy == "grow":
@@ -234,15 +272,14 @@ class _BulkStream:
 class SampleStream(_BulkStream):
     """Bulk-buffered draws from one ``(distribution, Generator)`` pair.
 
-    ``draw()`` is the hot-path call: a list index plus a bounds check,
-    refilling the buffer through ``dist.sample_many`` only when it runs
-    dry.  Values are bit-identical to what direct ``sample_many`` calls
+    ``draw()`` is the hot-path call, refilling the buffer through
+    ``dist.sample_many`` only when it runs dry.  Values are bit-identical to what direct ``sample_many`` calls
     of the same total size would produce on the same generator (every
     built-in distribution draws element-wise, so chunked bulk draws
     split cleanly -- see ``tests/sim/test_streams.py``).
     """
 
-    __slots__ = ("dist",)
+    __slots__ = ("dist", "_retired_sum")
 
     def __init__(
         self,
@@ -253,6 +290,7 @@ class SampleStream(_BulkStream):
         refill: str = "grow",
     ) -> None:
         self.dist = dist
+        self._retired_sum = 0.0
         super().__init__(rng, initial, max_buffer, refill)
 
     def _bulk_values(self, size: int) -> list:
@@ -262,6 +300,21 @@ class SampleStream(_BulkStream):
 
     def _label(self) -> str:
         return f"stream over {self.dist!r}"
+
+    def _retire(self) -> None:
+        self._retired_sum += self._drawn_from_buffer()
+
+    def _drawn_from_buffer(self) -> float:
+        return sum(self._values[: len(self._values) - self.buffered])
+
+    @property
+    def drawn_sum(self) -> float:
+        """Sum of the values handed out so far.
+
+        Summed from the buffers on demand, so a draw pays nothing
+        for it.
+        """
+        return self._retired_sum + self._drawn_from_buffer()
 
     def draw_many(self, size: int) -> np.ndarray:
         """The next ``size`` values as an array.
@@ -274,8 +327,7 @@ class SampleStream(_BulkStream):
             raise ValueError(f"size must be an integer >= 0, got {size!r}")
         size = int(size)
         take = min(size, self.buffered)
-        head = self._values[self._pos : self._pos + take]
-        self._pos += take
+        head = list(itertools.islice(self._it, take))
         rest = size - take
         if rest == 0:
             return np.array(head, dtype=float)
@@ -286,6 +338,7 @@ class SampleStream(_BulkStream):
             )
         tail = self.dist.sample_many(self.rng, rest)
         self._filled += rest
+        self._retired_sum += float(tail.sum())
         return np.concatenate([np.array(head, dtype=float), tail])
 
 
@@ -319,77 +372,14 @@ class IntegerStream(_BulkStream):
         return f"integer stream on [0, {self.high})"
 
 
-class ScalarSampleStream:
-    """Seed-exact adapter: one ``dist.sample(rng)`` call per draw.
-
-    Same interface as :class:`SampleStream`, same values *and* generator
-    consumption order as the seed repo's scalar hot path, so
-    ``use_streams=False`` machines reproduce pre-stream trajectories
-    bit for bit and benchmarks can measure streamed-vs-scalar honestly.
-    """
-
-    __slots__ = ("dist", "rng", "draws")
-
-    refills = 0
-    buffered = 0
-
-    def __init__(self, dist: "ServiceDistribution", rng: np.random.Generator) -> None:
-        self.dist = dist
-        self.rng = rng
-        self.draws = 0
-
-    def reserve(self, draws: int) -> None:
-        """No-op: scalar draws have nothing to pre-size."""
-
-    def prefill(self, draws: int) -> None:
-        """No-op: scalar draws have nothing to pre-size."""
-
-    def draw(self) -> float:
-        self.draws += 1
-        return float(self.dist.sample(self.rng))
-
-    def draw_many(self, size: int) -> np.ndarray:
-        if int(size) != size or size < 0:
-            raise ValueError(f"size must be an integer >= 0, got {size!r}")
-        self.draws += int(size)
-        return np.array(
-            [float(self.dist.sample(self.rng)) for _ in range(int(size))],
-            dtype=float,
-        )
-
-
-class ScalarIntegerStream:
-    """Seed-exact adapter: one ``rng.integers(high)`` call per pick."""
-
-    __slots__ = ("high", "rng", "draws")
-
-    refills = 0
-    buffered = 0
-
-    def __init__(self, high: int, rng: np.random.Generator) -> None:
-        if int(high) != high or high < 1:
-            raise ValueError(f"high must be an integer >= 1, got {high!r}")
-        self.high = int(high)
-        self.rng = rng
-        self.draws = 0
-
-    def reserve(self, draws: int) -> None:
-        """No-op: scalar draws have nothing to pre-size."""
-
-    def draw(self) -> int:
-        self.draws += 1
-        return int(self.rng.integers(self.high))
-
-
 def stream_shuffle(streams: "StreamRegistry", seq: list) -> None:
     """In-place Fisher-Yates shuffle drawing from registry pick streams.
 
     The stream-honouring replacement for ``rng.shuffle(seq)`` at
     workload call sites: every index pick comes from the registry's
-    ``[0, i+1)`` integer streams, so shuffles are bulk-drawn on
-    buffered registries, plain scalar ``rng.integers`` calls on
-    seed-exact scalar ones, and deterministic for a fixed seed and
-    buffering schedule either way (the stream determinism contract).
+    ``[0, i+1)`` integer streams, so shuffles are bulk-drawn and
+    deterministic for a fixed seed and buffering schedule (the stream
+    determinism contract).
     Uniform over all permutations, like ``rng.shuffle``; the draw
     *sequence* differs, so fixed-seed trajectories change when a
     workload switches over.
@@ -427,53 +417,38 @@ class StreamRegistry:
     keyed by identity -- the registry holds a reference, so two nodes
     sharing one distribution object still get independent streams from
     their own registries.
-
-    ``scalar=True`` registries hand out the seed-exact scalar adapters
-    instead, keeping every call site uniform across both modes.
     """
 
     def __init__(
         self,
         rng: np.random.Generator,
-        scalar: bool = False,
         initial: int = DEFAULT_INITIAL_BUFFER,
         max_buffer: int = DEFAULT_MAX_BUFFER,
     ) -> None:
         self.rng = rng
-        self.scalar = bool(scalar)
         self.initial, self.max_buffer = _check_buffer_sizes(initial, max_buffer)
-        self._samples: dict[
-            "ServiceDistribution", SampleStream | ScalarSampleStream
-        ] = {}
-        self._integers: dict[int, IntegerStream | ScalarIntegerStream] = {}
+        self._samples: dict["ServiceDistribution", SampleStream] = {}
+        self._integers: dict[int, IntegerStream] = {}
 
-    def stream(
-        self, dist: "ServiceDistribution"
-    ) -> SampleStream | ScalarSampleStream:
+    def stream(self, dist: "ServiceDistribution") -> SampleStream:
         """The stream for ``dist``, created on first use."""
         stream = self._samples.get(dist)
         if stream is None:
-            if self.scalar:
-                stream = ScalarSampleStream(dist, self.rng)
-            else:
-                stream = SampleStream(
-                    dist, self.rng, initial=self.initial,
-                    max_buffer=self.max_buffer,
-                )
+            stream = SampleStream(
+                dist, self.rng, initial=self.initial,
+                max_buffer=self.max_buffer,
+            )
             self._samples[dist] = stream
         return stream
 
-    def integers(self, high: int) -> IntegerStream | ScalarIntegerStream:
+    def integers(self, high: int) -> IntegerStream:
         """The pick stream for ``[0, high)``, created on first use."""
         stream = self._integers.get(high)
         if stream is None:
-            if self.scalar:
-                stream = ScalarIntegerStream(high, self.rng)
-            else:
-                stream = IntegerStream(
-                    high, self.rng, initial=self.initial,
-                    max_buffer=self.max_buffer,
-                )
+            stream = IntegerStream(
+                high, self.rng, initial=self.initial,
+                max_buffer=self.max_buffer,
+            )
             self._integers[high] = stream
         return stream
 
@@ -482,13 +457,11 @@ class StreamRegistry:
         self.stream(dist).reserve(draws)
 
     @property
-    def sample_streams(
-        self,
-    ) -> Mapping["ServiceDistribution", SampleStream | ScalarSampleStream]:
+    def sample_streams(self) -> Mapping["ServiceDistribution", SampleStream]:
         """Read-only view of the distribution streams (introspection)."""
         return dict(self._samples)
 
-    def __iter__(self) -> Iterator[SampleStream | ScalarSampleStream]:
+    def __iter__(self) -> Iterator[SampleStream]:
         return iter(self._samples.values())
 
     @property

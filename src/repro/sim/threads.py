@@ -34,7 +34,8 @@ one per yield on the hot path, and a frozen dataclass would pay an
 ``object.__setattr__`` per field to build it.  Nothing mutates, compares
 or hashes an effect once yielded, so a thread may build a cycle-invariant
 effect once and yield it every cycle -- the workloads hoist their
-``Wait`` out of the loop this way.
+``Wait`` out of the loop this way.  The node dispatches on an effect's
+exact class, so subclasses of the four effects are rejected.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ class ThreadEffect:
 
 @dataclass(slots=True)
 class Compute(ThreadEffect):
-    """Consume ``duration`` cycles of CPU at thread (lowest) priority."""
+    """Consume ``duration`` cycles of CPU at thread (lowest) priority.
+
+    A negative ``duration`` raises ValueError when the node runs the
+    effect, not when it is built.
+    """
 
     duration: float
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration!r}")
 
 
 @dataclass(slots=True)

@@ -90,23 +90,26 @@ class AllToAllWorkload:
         work.reserve(self.cycles)
         pick = node.pick_stream(p - 1)
         pick.reserve(self.cycles)
+        work_draw, pick_draw = work.draw, pick.draw
         await_reply = Wait(lambda n: n.memory[_REPLIED], label="await-reply")
-        unblocked_at = node.sim.now
+        sim, memory, me = node.sim, node.memory, node.id
+        finished = node.cycles.append
+        unblocked_at = sim.now
         for _ in range(self.cycles):
-            record = CycleRecord(node=node.id, start=unblocked_at)
-            yield Compute(work.draw())
-            record.send = node.sim.now
+            record = CycleRecord(me, unblocked_at)
+            yield Compute(work_draw())
+            record.send = sim.now
             # Uniform over the P-1 other nodes.
-            dest = pick.draw()
-            if dest >= node.id:
+            dest = pick_draw()
+            if dest >= me:
                 dest += 1
-            node.memory[_REPLIED] = False
+            memory[_REPLIED] = False
             yield Send(dest, _request_handler, "request", record)
             yield await_reply
             # The thread became runnable when its reply handler finished,
             # even if queued request handlers ran before we resumed here.
             unblocked_at = record.reply_done
-            node.cycles.append(record)
+            finished(record)
 
     def install(self, machine: Machine) -> None:
         """Install one copy of the thread program on every node."""
@@ -126,7 +129,6 @@ def run_alltoall(
     warmup: int | None = None,
     cooldown: int | None = None,
     work_cv2: float = 0.0,
-    use_streams: bool = True,
 ) -> SimulationMeasurement:
     """Simulate homogeneous all-to-all traffic and return measured means.
 
@@ -140,9 +142,6 @@ def run_alltoall(
         Requests per node; more cycles tighten the estimates.
     warmup, cooldown:
         Records trimmed per node (default 10 % each, at least 1).
-    use_streams:
-        Bulk-drawn RNG streams + fast event loop (default); ``False``
-        reproduces the seed repo's scalar trajectories bit for bit.
 
     Returns
     -------
@@ -151,7 +150,7 @@ def run_alltoall(
     """
     warmup, cooldown = trim_defaults(cycles, warmup, cooldown)
     workload = AllToAllWorkload(work=work, cycles=cycles, work_cv2=work_cv2)
-    machine = Machine(config, use_streams=use_streams)
+    machine = Machine(config)
     workload.install(machine)
     machine.start()
     # Warm-up phase: run until every node completed `warmup` cycles, then
@@ -165,5 +164,5 @@ def run_alltoall(
         warmup=warmup,
         cooldown=cooldown,
         extra_meta={"workload": "alltoall", "cycles": cycles,
-                    "work_cv2": work_cv2, "streamed": use_streams},
+                    "work_cv2": work_cv2},
     )

@@ -142,7 +142,6 @@ def run_barrier_alltoall(
     warmup: int | None = None,
     cooldown: int | None = None,
     work_cv2: float = 0.0,
-    use_streams: bool = True,
 ) -> BarrierMeasurement:
     """Run the phased permutation all-to-all.
 
@@ -175,12 +174,13 @@ def run_barrier_alltoall(
         # Bulk-drawn compute bursts, pre-sized to the phase count.
         work_stream = node.sample_stream(work_dist)
         work_stream.reserve(phases)
+        work_draw = work_stream.draw
         node.memory[_GENERATION] = 0
         await_ack = Wait(lambda n: n.memory[_REPLIED], label="await-put-ack")
         unblocked_at = node.sim.now
         for phase in range(phases):
             record = CycleRecord(node=node.id, start=unblocked_at)
-            yield Compute(work_stream.draw())
+            yield Compute(work_draw())
             record.send = node.sim.now
             # Phase-shifted permutation: every node receives exactly one
             # request per phase (shift cycles through 1..P-1).
@@ -207,7 +207,7 @@ def run_barrier_alltoall(
             else:
                 unblocked_at = record.reply_done
 
-    machine = Machine(config, use_streams=use_streams)
+    machine = Machine(config)
     machine.install_threads([body] * p)
     # Two service draws (request + reply) and two wire hops per node per
     # phase; barrier traffic carries explicit zero service times but
@@ -243,6 +243,5 @@ def run_barrier_alltoall(
             "seed": config.seed,
             "events": machine.sim.events_processed,
             "work_cv2": work_cv2,
-            "streamed": use_streams,
         },
     )

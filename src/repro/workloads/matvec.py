@@ -139,8 +139,8 @@ class MatVecWorkload:
             first_put_of_row = True
             offsets = list(range(1, p))
             if self.randomize_order:
-                # Stream-drawn so the determinism contract holds: bulk
-                # picks on streamed machines, seed-exact scalars otherwise.
+                # Stream-drawn (bulk picks) so the determinism contract
+                # holds.
                 stream_shuffle(node.streams, offsets)
             for offset in offsets:
                 dest = (node.id + offset) % p

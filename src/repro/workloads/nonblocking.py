@@ -75,7 +75,6 @@ def run_nonblocking_alltoall(
     warmup: int | None = None,
     cooldown: int | None = None,
     work_cv2: float = 0.0,
-    use_streams: bool = True,
 ) -> NonBlockingMeasurement:
     """Simulate k-outstanding non-blocking all-to-all traffic.
 
@@ -111,16 +110,17 @@ def run_nonblocking_alltoall(
         work_stream.reserve(cycles)
         pick = node.pick_stream(p - 1)
         pick.reserve(cycles)
+        work_draw, pick_draw = work_stream.draw, pick.draw
         node.memory[_OUTSTANDING] = 0
         node.memory[_ISSUES] = []
         node.memory[_TRIPS] = []
         await_window = Wait(lambda n: n.memory[_OUTSTANDING] < window,
                             label="await-window")
         for _ in range(cycles):
-            yield Compute(work_stream.draw())
+            yield Compute(work_draw())
             if math.isfinite(window):
                 yield await_window
-            dest = pick.draw()
+            dest = pick_draw()
             if dest >= node.id:
                 dest += 1
             node.memory[_OUTSTANDING] += 1
@@ -129,7 +129,7 @@ def run_nonblocking_alltoall(
         # Drain: wait for every reply so round-trip stats are complete.
         yield Wait(lambda n: n.memory[_OUTSTANDING] == 0, label="drain")
 
-    machine = Machine(config, use_streams=use_streams)
+    machine = Machine(config)
     machine.install_threads([body] * p)
     # One request + one reply handler per issue per node, two hops each.
     machine.reserve_streams(
@@ -163,7 +163,6 @@ def run_nonblocking_alltoall(
             "workload": "nonblocking-alltoall",
             "seed": config.seed,
             "cycles": cycles,
-            "streamed": use_streams,
             "events": machine.sim.events_processed,
         },
     )

@@ -86,7 +86,6 @@ def run_workpile(
     warmup: int | None = None,
     cooldown: int | None = None,
     work_cv2: float = 0.0,
-    use_streams: bool = True,
 ) -> WorkpileMeasurement:
     """Simulate the workpile for one split and return measured means.
 
@@ -103,9 +102,6 @@ def run_workpile(
     work_cv2:
         Squared CV of chunk size (chunk sizes are "highly variable" in
         real workpiles; the model depends only on the mean).
-    use_streams:
-        Bulk-drawn RNG streams + fast event loop (default); ``False``
-        reproduces the seed repo's scalar trajectories bit for bit.
     """
     p = config.processors
     if not 1 <= servers <= p - 1:
@@ -123,20 +119,21 @@ def run_workpile(
         work_stream.reserve(chunks)
         pick = node.pick_stream(servers)
         pick.reserve(chunks)
+        work_draw, pick_draw = work_stream.draw, pick.draw
         await_chunk = Wait(lambda n: n.memory[_GOT_CHUNK], label="await-chunk")
         unblocked_at = node.sim.now
         for _ in range(chunks):
             record = CycleRecord(node=node.id, start=unblocked_at)
-            yield Compute(work_stream.draw())
+            yield Compute(work_draw())
             record.send = node.sim.now
-            dest = pick.draw()
+            dest = pick_draw()
             node.memory[_GOT_CHUNK] = False
             yield Send(dest, _chunk_request_handler, "request", record)
             yield await_chunk
             unblocked_at = record.reply_done
             node.cycles.append(record)
 
-    machine = Machine(config, use_streams=use_streams)
+    machine = Machine(config)
     bodies: list = [None] * servers + [client_body] * (p - servers)
     machine.install_threads(bodies)
     # Servers each absorb ~chunks*clients/servers request handlers,
@@ -188,7 +185,6 @@ def run_workpile(
             "seed": config.seed,
             "chunks": chunks,
             "work_cv2": work_cv2,
-            "streamed": use_streams,
             "events": machine.sim.events_processed,
         },
     )

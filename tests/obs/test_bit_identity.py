@@ -96,19 +96,6 @@ class TestSimPath:
         plain, observed = _run_pair(spec, tmp_path)
         _assert_identical(plain, observed)
 
-    def test_alltoall_sim_scalar_streams(self, tmp_path):
-        # streams=False exercises the seed-exact scalar simulator loop
-        # (run() rather than run_fast()) under observation.
-        spec = SweepSpec(
-            name="bit-sim-scalar",
-            evaluator="alltoall-sim",
-            base={"P": 4, "St": 40.0, "So": 200.0, "C2": 0.0,
-                  "cycles": 30, "seed": 11, "streams": False},
-            axes=(GridAxis("W", (200.0, 1000.0)),),
-        )
-        plain, observed = _run_pair(spec, tmp_path)
-        _assert_identical(plain, observed)
-
 
 class TestCrossTelemetryCacheSharing:
     def test_observed_run_hits_plain_runs_cache(self, tmp_path):

@@ -14,10 +14,10 @@ from repro.sim.machine import Machine, MachineConfig
 from repro.sim.threads import Compute, Send, Wait
 
 
-def _machine(use_streams=True, handler_cv2=0.0):
+def _machine():
     config = MachineConfig(processors=4, latency=40.0, handler_time=100.0,
-                           handler_cv2=handler_cv2, seed=3)
-    machine = Machine(config, use_streams=use_streams)
+                           handler_cv2=0.0, seed=3)
+    machine = Machine(config)
 
     def reply_handler(node, msg):
         node.memory["pending"] = False
@@ -30,7 +30,7 @@ def _machine(use_streams=True, handler_cv2=0.0):
             yield Compute(150.0)
             node.memory["pending"] = True
             # Pick the peer through the stream registry (like the real
-            # workloads do) so draw counters tick in both stream modes.
+            # workloads do) so the draw counters tick.
             dest = (node.id + 1 + node.streams.integers(3).draw()) % 4
             yield Send(dest, request_handler)
             yield Wait(lambda n: not n.memory["pending"])
@@ -41,7 +41,7 @@ def _machine(use_streams=True, handler_cv2=0.0):
 
 class TestEngineMetrics:
     def test_run_fast_records_counters(self):
-        machine = _machine(use_streams=True)
+        machine = _machine()
         with obs.telemetry(metrics=True) as tel:
             machine.run_to_completion()
         d = tel.metrics.as_dict()
@@ -50,14 +50,6 @@ class TestEngineMetrics:
         assert d["gauges"]["sim.heap_high_water"] >= 1
         assert d["stats"]["sim.run_wall"]["count"] == 1
         assert d["stats"]["sim.events_per_sec"]["mean"] > 0
-
-    def test_scalar_run_records_counters(self):
-        machine = _machine(use_streams=False)
-        with obs.telemetry(metrics=True) as tel:
-            machine.run_to_completion()
-        d = tel.metrics.as_dict()
-        assert d["counters"]["sim.runs"] == 1
-        assert d["counters"]["sim.events"] == machine.sim.events_processed
 
     def test_disabled_run_records_nothing(self):
         machine = _machine()
@@ -84,7 +76,7 @@ class TestEngineMetrics:
 
 class TestStreamMetrics:
     def test_stream_traffic_counters(self):
-        machine = _machine(use_streams=True)
+        machine = _machine()
         with obs.telemetry(metrics=True) as tel:
             machine.run_to_completion()
         d = tel.metrics.as_dict()
@@ -92,7 +84,7 @@ class TestStreamMetrics:
         assert d["counters"]["sim.stream.refills"] > 0
 
     def test_phased_runs_report_deltas(self):
-        machine = _machine(use_streams=True)
+        machine = _machine()
         machine.start()
         with obs.telemetry(metrics=True) as tel:
             machine.run(until=500.0)
@@ -102,16 +94,6 @@ class TestStreamMetrics:
         # Second report adds only the measured phase's traffic.
         assert first > 0
         assert total >= first
-
-    def test_scalar_streams_report_zero_refills(self):
-        # A stochastic handler forces per-dispatch draws even on the
-        # scalar (draw-per-event, refill-free) stream implementation.
-        machine = _machine(use_streams=False, handler_cv2=1.0)
-        with obs.telemetry(metrics=True) as tel:
-            machine.run_to_completion()
-        d = tel.metrics.as_dict()
-        assert d["counters"]["sim.stream.refills"] == 0
-        assert d["counters"]["sim.stream.draws"] > 0
 
 
 class TestSolverMetrics:

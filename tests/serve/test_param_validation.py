@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import scenario
+from repro.api import RetiredValueError, scenario
 from repro.api.scenario import _BACKENDS, resolve_params
 from repro.cli import main
 from repro.serve import ServeError, SweepService
@@ -34,8 +34,12 @@ INVALID = [
      ValueError, "unknown parameter 'methd'"),
     ("alltoall-model", dict(MACHINE, W=256.0, P="32"), "P", TypeError,
      "'P' expects a number"),
+    # The removed seed-exact scalar simulator path.
+    ("alltoall-sim", dict(MACHINE, W=256.0, cycles=20, streams=False),
+     "streams", RetiredValueError,
+     "'streams'=False is no longer supported: the seed-exact scalar"),
 ]
-INVALID_IDS = ["Lxyz", "cycle", "methd", "P-str"]
+INVALID_IDS = ["Lxyz", "cycle", "methd", "P-str", "streams-False"]
 ARGS = "evaluator, params, bad, exc, match"
 
 
@@ -122,6 +126,39 @@ class TestInvalidRejectedEverywhere:
                          base=dict(MACHINE, W=64.0), seed=7)
         (record,) = run_sweep(spec).records
         assert isinstance(record.params["seed"], int)
+
+
+class TestRetiredStreams:
+    """``streams=False`` is refused by the facade and the scenario
+    command too (the table above covers the sweep spec, its CLI, the
+    service and HTTP)."""
+
+    MATCH = "'streams'=False is no longer supported"
+
+    def test_facade(self):
+        with pytest.raises(RetiredValueError, match=self.MATCH):
+            scenario("alltoall", **MACHINE, W=256.0, streams=False)
+        sc = scenario("alltoall", **MACHINE, W=256.0, cycles=20)
+        with pytest.raises(RetiredValueError, match=self.MATCH):
+            sc.simulate(streams=False)
+        for evaluator in ("alltoall-sim", "workpile-sim", "nonblocking-sim"):
+            with pytest.raises(RetiredValueError) as err:
+                resolve_params(evaluator, {"streams": False})
+            assert err.value.param == "streams"
+            assert err.value.value is False
+
+    def test_explicit_true_keeps_its_key(self):
+        params = dict(MACHINE, W=256.0, cycles=20, seed=3)
+        assert point_key("alltoall-sim", resolve_params(
+            "alltoall-sim", dict(params, streams=True))) == GOLDEN[8][5]
+
+    def test_cli_scenario(self):
+        # The scenario command raises parameter errors, as it does for
+        # an unknown name (tests/experiments/test_cli.py).
+        argv = ["scenario", "alltoall", "P=4", "St=40", "So=200", "W=256",
+                "cycles=20", "streams=false", "--backend", "sim"]
+        with pytest.raises(RetiredValueError, match=self.MATCH):
+            main(argv)
 
 
 class TestOpenSchema:

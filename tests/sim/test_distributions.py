@@ -247,13 +247,12 @@ class TestSampleManyVectorized:
         assert np.array_equal(chunks, one)
 
     def test_hyperexponential_scalar_path_unchanged_from_seed(self):
-        """The scalar path still draws branch-pick + ziggurat exponential.
+        """The scalar ``sample`` still draws branch-pick + ziggurat
+        exponential.
 
-        ``use_streams=False`` machines promise bit-identical
-        trajectories to the pre-stream repo, so the scalar ``sample``
-        must keep consuming the generator exactly as the seed did even
-        though ``sample_many`` moved to the fixed-consumption inversion
-        construction.
+        ``sample`` keeps consuming the generator exactly as the seed did
+        even though ``sample_many`` moved to the fixed-consumption
+        inversion construction.
         """
         d = HyperExponential(100.0, 4.0)
         rng = np.random.default_rng(13)

@@ -9,9 +9,9 @@ class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         log = []
-        sim.schedule(5.0, lambda: log.append("b"))
-        sim.schedule(1.0, lambda: log.append("a"))
-        sim.schedule(9.0, lambda: log.append("c"))
+        sim.schedule_call(5.0, log.append, "b")
+        sim.schedule_call(1.0, log.append, "a")
+        sim.schedule_call(9.0, log.append, "c")
         sim.run()
         assert log == ["a", "b", "c"]
 
@@ -19,14 +19,14 @@ class TestScheduling:
         sim = Simulator()
         log = []
         for name in "abc":
-            sim.schedule(2.0, lambda n=name: log.append(n))
+            sim.schedule_call(2.0, log.append, name)
         sim.run()
         assert log == ["a", "b", "c"]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule(3.5, lambda: seen.append(sim.now))
+        sim.schedule_call(3.5, lambda _: seen.append(sim.now))
         sim.run()
         assert seen == [3.5]
         assert sim.now == 3.5
@@ -35,122 +35,104 @@ class TestScheduling:
         sim = Simulator()
         log = []
 
-        def first():
+        def first(_):
             log.append("first")
-            sim.schedule(0.0, lambda: log.append("chained"))
+            sim.schedule_call(0.0, log.append, "chained")
 
-        sim.schedule(1.0, first)
-        sim.schedule(1.0, lambda: log.append("second"))
+        sim.schedule_call(1.0, first)
+        sim.schedule_call(1.0, log.append, "second")
         sim.run()
         assert log == ["first", "second", "chained"]
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="past"):
-            sim.schedule(-1.0, lambda: None)
-
-    def test_schedule_at_absolute_time(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_at(7.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [7.0]
+            sim.schedule_call(-1.0, print)
 
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         log = []
 
-        def spawner():
+        def spawner(_):
             log.append(sim.now)
             if sim.now < 3:
-                sim.schedule(1.0, spawner)
+                sim.schedule_call(1.0, spawner)
 
-        sim.schedule(1.0, spawner)
+        sim.schedule_call(1.0, spawner)
         sim.run()
         assert log == [1.0, 2.0, 3.0]
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        log = []
-        handle = sim.schedule(1.0, lambda: log.append("x"))
-        handle.cancel()
-        sim.run()
-        assert log == []
-        assert sim.events_processed == 0
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        sim.run()
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        h1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        h1.cancel()
-        assert sim.peek_time() == 2.0
-
-    def test_cancel_and_reschedule_pattern(self):
-        """The preempt-resume idiom: cancel a completion, schedule later."""
-        sim = Simulator()
-        log = []
-        handle = sim.schedule(10.0, lambda: log.append("original"))
-        handle.cancel()
-        sim.schedule(20.0, lambda: log.append("resumed"))
-        sim.run()
-        assert log == ["resumed"]
-        assert sim.now == 20.0
 
 
 class TestRunControls:
     def test_run_until_stops_clock(self):
         sim = Simulator()
         log = []
-        sim.schedule(1.0, lambda: log.append(1))
-        sim.schedule(5.0, lambda: log.append(5))
+        sim.schedule_call(1.0, log.append, 1)
+        sim.schedule_call(5.0, log.append, 5)
         sim.run(until=3.0)
         assert log == [1]
         assert sim.now == 3.0
+        assert sim.peek_time() == 5.0
         sim.run()
         assert log == [1, 5]
 
     def test_run_until_inclusive(self):
         sim = Simulator()
         log = []
-        sim.schedule(3.0, lambda: log.append(3))
+        sim.schedule_call(3.0, log.append, 3)
         sim.run(until=3.0)
         assert log == [3]
+
+    def test_run_until_keeps_fifo_order_of_held_back_events(self):
+        # The event popped past the horizon goes back on the heap and
+        # still runs before a same-instant event scheduled after it.
+        sim = Simulator()
+        log = []
+        sim.schedule_call(5.0, log.append, "first")
+        sim.run(until=3.0)
+        sim.schedule_call(2.0, log.append, "second")
+        sim.run()
+        assert log == ["first", "second"]
+        assert sim.events_processed == 2
 
     def test_stop_predicate(self):
         sim = Simulator()
         log = []
         for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda t=t: log.append(t))
+            sim.schedule_call(t, log.append, t)
         sim.run(stop=lambda: len(log) >= 2)
         assert log == [1.0, 2.0]
+        assert sim.events_processed == 2
 
     def test_max_events_guard(self):
         sim = Simulator()
 
-        def forever():
-            sim.schedule(1.0, forever)
+        def forever(_):
+            sim.schedule_call(1.0, forever)
 
-        sim.schedule(1.0, forever)
+        sim.schedule_call(1.0, forever)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run(max_events=100)
-
-    def test_step_returns_false_when_empty(self):
-        sim = Simulator()
-        assert sim.step() is False
+        assert sim.events_processed == 100
 
     def test_events_processed_counts_only_live(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        handle = sim.schedule(2.0, lambda: None)
-        handle.cancel()
-        sim.run()
-        assert sim.events_processed == 1
+        # Events cannot be cancelled; a preempted computation's stale
+        # completion still fires and takes itself back out of the count.
+        from repro.sim.machine import Machine, MachineConfig
+        from repro.sim.threads import Compute, Send
+
+        machine = Machine(MachineConfig(processors=2, latency=10.0,
+                                        handler_time=5.0, seed=0))
+
+        def body(node):
+            if node.id == 0:
+                yield Send(1, lambda n, m: None)
+            else:
+                yield Compute(100.0)
+
+        machine.install_threads([body, body])
+        machine.run_to_completion()
+        # Node 1's compute is preempted at t=10 by the arrival: live
+        # events are the arrival, the handler end and one completion.
+        assert machine.sim.now == 105.0
+        assert machine.sim.events_processed == 3

@@ -225,6 +225,16 @@ class TestThreadLifecycle:
         assert machine.nodes[0].thread_done
         assert machine.sim.now == 5.0
 
+    def test_negative_compute_duration_raises(self):
+        machine = make_machine()
+
+        def body(node):
+            yield Compute(-1.0)
+
+        machine.install_threads([body, None])
+        with pytest.raises(ValueError, match=r"duration must be >= 0, got -1\.0"):
+            machine.run_to_completion()
+
     def test_invalid_effect_raises(self):
         machine = make_machine()
 
@@ -279,15 +289,17 @@ class TestSendValidation:
         with pytest.raises(ValueError, match="itself"):
             machine.run_to_completion()
 
-    def test_out_of_range_destination_rejected(self):
+    # -1 would silently index the last node if the range check went.
+    @pytest.mark.parametrize("dest", [5, -1])
+    def test_out_of_range_destination_rejected(self, dest):
         machine = make_machine()
 
         def handler(node, msg):
             pass
 
         def body(node):
-            yield Send(5, handler)
+            yield Send(dest, handler)
 
         machine.install_threads([body, None])
-        with pytest.raises(ValueError, match="destination"):
+        with pytest.raises(ValueError, match=f"destination {dest} out of range"):
             machine.run_to_completion()

@@ -15,8 +15,6 @@ from repro.sim.streams import (
     DEFAULT_MAX_BUFFER,
     IntegerStream,
     SampleStream,
-    ScalarIntegerStream,
-    ScalarSampleStream,
     StreamExhausted,
     StreamRegistry,
 )
@@ -112,6 +110,20 @@ class TestSampleStream:
         assert stream.buffered == 11
         assert stream.refills == 1
 
+    def test_drawn_sum_follows_every_draw_path(self):
+        """The sum of handed-out values survives refills, prefills and
+        draw_many tails (the network's realised-latency mean reads it)."""
+        stream = SampleStream(Exponential(3.0), np.random.default_rng(4),
+                              initial=4)
+        assert stream.drawn_sum == 0.0
+        drawn = [stream.draw() for _ in range(11)]  # two refills
+        stream.prefill(6)
+        drawn += [stream.draw() for _ in range(3)]
+        drawn += stream.draw_many(20).tolist()  # past the buffer
+        drawn.append(stream.draw())
+        assert stream.draws == len(drawn)
+        assert stream.drawn_sum == pytest.approx(sum(drawn), rel=1e-12)
+
     def test_fixed_refill_policy(self):
         stream = SampleStream(Exponential(1.0), np.random.default_rng(0),
                               initial=8, refill="fixed")
@@ -134,6 +146,26 @@ class TestSampleStream:
             stream.draw()
         with pytest.raises(StreamExhausted, match="10 draws"):
             stream.draw()
+
+    def test_error_policy_prefill_after_exhaustion_resumes(self):
+        """A drained error stream keeps raising until a prefill, then
+        serves the same sequence one bulk draw would have."""
+        stream = SampleStream(Exponential(1.0), np.random.default_rng(3),
+                              initial=4, refill="error")
+        stream.prefill(2)
+        drawn = [stream.draw(), stream.draw()]
+        for _ in range(2):
+            with pytest.raises(StreamExhausted, match="2 draws"):
+                stream.draw()
+        stream.prefill(3)
+        assert stream.buffered == 3
+        drawn += [stream.draw() for _ in range(3)]
+        with pytest.raises(StreamExhausted, match="5 draws"):
+            stream.draw()
+        ref = Exponential(1.0).sample_many(np.random.default_rng(3), 5)
+        assert drawn == ref.tolist()
+        assert stream.draws == 5 and stream.refills == 2
+        assert stream.drawn_sum == pytest.approx(sum(drawn), rel=1e-12)
 
     def test_error_policy_draw_many_past_buffer(self):
         stream = SampleStream(Exponential(1.0), np.random.default_rng(0),
@@ -183,29 +215,6 @@ class TestIntegerStream:
             IntegerStream(0, np.random.default_rng(0))
 
 
-class TestScalarAdapters:
-    @pytest.mark.parametrize("dist", ALL_DISTS, ids=_IDS)
-    def test_scalar_stream_is_seed_exact(self, dist):
-        """The adapter consumes the generator exactly like scalar code."""
-        stream = ScalarSampleStream(dist, np.random.default_rng(21))
-        drawn = [stream.draw() for _ in range(50)]
-        rng = np.random.default_rng(21)
-        assert drawn == [float(dist.sample(rng)) for _ in range(50)]
-        assert stream.draws == 50
-
-    def test_scalar_integer_stream_is_seed_exact(self):
-        stream = ScalarIntegerStream(13, np.random.default_rng(8))
-        drawn = [stream.draw() for _ in range(50)]
-        rng = np.random.default_rng(8)
-        assert drawn == [int(rng.integers(13)) for _ in range(50)]
-
-    def test_reserve_is_noop(self):
-        stream = ScalarSampleStream(Exponential(1.0), np.random.default_rng(0))
-        stream.reserve(1000)
-        stream.prefill(1000)
-        assert stream.buffered == 0 and stream.refills == 0
-
-
 class TestStreamRegistry:
     def test_one_stream_per_distribution_identity(self):
         reg = StreamRegistry(np.random.default_rng(0))
@@ -218,11 +227,6 @@ class TestStreamRegistry:
         reg = StreamRegistry(np.random.default_rng(0))
         assert reg.integers(5) is reg.integers(5)
         assert reg.integers(5) is not reg.integers(6)
-
-    def test_scalar_registry_hands_out_adapters(self):
-        reg = StreamRegistry(np.random.default_rng(0), scalar=True)
-        assert isinstance(reg.stream(Exponential(1.0)), ScalarSampleStream)
-        assert isinstance(reg.integers(4), ScalarIntegerStream)
 
     def test_buffered_registry_hands_out_streams(self):
         reg = StreamRegistry(np.random.default_rng(0))

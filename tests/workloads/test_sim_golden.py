@@ -3,8 +3,8 @@
 The determinism tests in ``test_stream_determinism.py`` compare two runs
 of the same tree, so a change that moves every trajectory the same way
 passes them.  These pins compare against fixed values instead: a small
-run of every workload (on both ``use_streams`` paths where the runner
-takes the flag) and ``alltoall-sim`` sweep records at three seeds.  Any
+run of every workload and ``alltoall-sim`` sweep records at three
+seeds.  Any
 change to a trajectory, an event count or a float fails here, so a
 refactor of the simulator's hot path must reproduce them bit for bit.
 
@@ -46,28 +46,27 @@ def _snapshot(result):
     return out
 
 
-def _alltoall(streams):
-    return run_alltoall(_config(), work=120.0, cycles=40, work_cv2=1.0,
-                        use_streams=streams)
+# The "-streamed" case ids name the bulk-drawn stream path these pins
+# were taken on; it is the simulator's only path.
+def _alltoall():
+    return run_alltoall(_config(), work=120.0, cycles=40, work_cv2=1.0)
 
 
-def _workpile(streams):
+def _workpile():
     return run_workpile(_config(p=8), servers=2, work=200.0, chunks=30,
-                        work_cv2=1.0, use_streams=streams)
+                        work_cv2=1.0)
 
 
-def _barrier(streams):
+def _barrier():
     return run_barrier_alltoall(_config(), work=150.0, phases=20,
-                                work_cv2=0.5, use_streams=streams)
+                                work_cv2=0.5)
 
 
-def _nonblocking(streams):
+def _nonblocking():
     return run_nonblocking_alltoall(_config(cv2=0.5), work=150.0, window=4,
-                                    cycles=30, use_streams=streams)
+                                    cycles=30)
 
 
-# run_matvec and run_pattern build their machine with the default
-# (streamed) path and take no use_streams flag.
 def _matvec():
     return run_matvec(_config(seed=5, p=4), size=16, randomize_order=True)
 
@@ -86,14 +85,10 @@ def _hotspot():
 
 
 CASES = {
-    "alltoall-streamed": lambda: _alltoall(True),
-    "alltoall-scalar": lambda: _alltoall(False),
-    "workpile-streamed": lambda: _workpile(True),
-    "workpile-scalar": lambda: _workpile(False),
-    "barrier-streamed": lambda: _barrier(True),
-    "barrier-scalar": lambda: _barrier(False),
-    "nonblocking-streamed": lambda: _nonblocking(True),
-    "nonblocking-scalar": lambda: _nonblocking(False),
+    "alltoall-streamed": _alltoall,
+    "workpile-streamed": _workpile,
+    "barrier-streamed": _barrier,
+    "nonblocking-streamed": _nonblocking,
     "matvec": _matvec,
     "pattern-multihop": _multihop,
     "pattern-hotspot": _hotspot,
@@ -116,7 +111,9 @@ def test_workload_matches_golden(case):
     assert _snapshot(CASES[case]()) == GOLDEN[case]
 
 
-@pytest.mark.parametrize("streams", [True, False], ids=["streamed", "scalar"])
+# streams=True is the only value the sim backends accept; the "streamed"
+# ids name the path the pinned records came from.
+@pytest.mark.parametrize("streams", [True], ids=["streamed"])
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
 def test_alltoall_sim_record_matches_golden(seed, streams):
     assert sweep_record(seed, streams) == GOLDEN_SWEEP[(seed, streams)]
@@ -130,24 +127,6 @@ def test_pattern_per_node_response_matches_golden():
 
 # Golden data ------------------------------------------------------------
 GOLDEN = {
-    "alltoall-scalar": {
-        "compute_residence": 144.39882621722327,
-        "cycles_measured": 192,
-        "events": 1200,
-        "handler_queue": 0.4021149018951473,
-        "handler_time": 50.0,
-        "latency": 10.0,
-        "reply_residence": 58.06219747193179,
-        "reply_utilization": 0.16413381926885656,
-        "request_residence": 65.93244614375007,
-        "request_utilization": 0.16250638528051492,
-        "response_time": 291.0810028677609,
-        "sim_time": 12449.37380849353,
-        "thread_utilization": 0.3441128857908538,
-        "throughput": 0.020612818909126203,
-        "wire_time": 11.343766517427957,
-        "work": 120.0,
-    },
     "alltoall-streamed": {
         "compute_residence": 140.4387708881125,
         "cycles_measured": 192,
@@ -165,21 +144,6 @@ GOLDEN = {
         "throughput": 0.020835964761814277,
         "wire_time": 11.228230669146347,
         "work": 120.0,
-    },
-    "barrier-scalar": {
-        "barrier_time": 224.36827951760182,
-        "compute_residence": 175.41615277510178,
-        "cycles_measured": 96,
-        "events": 1000,
-        "handler_time": 50.0,
-        "latency": 10.0,
-        "phases": 20,
-        "reply_residence": 52.97194784288971,
-        "request_residence": 46.55710500635195,
-        "response_time": 298.66599998724956,
-        "total_runtime": 10721.184553820405,
-        "use_barriers": True,
-        "work": 150.0,
     },
     "barrier-streamed": {
         "barrier_time": 256.4314601377466,
@@ -206,18 +170,6 @@ GOLDEN = {
         "request_residence": 79.9994888578184,
         "response_time": 177.70149677246218,
         "runtime": 2226.182997662665,
-    },
-    "nonblocking-scalar": {
-        "cycle_time": 251.53638990985607,
-        "events": 900,
-        "handler_time": 50.0,
-        "latency": 10.0,
-        "requests_measured": 138,
-        "round_trip": 142.11024256660818,
-        "sim_time": 7765.488035826447,
-        "throughput": 0.023853407461839775,
-        "window": 4,
-        "work": 150.0,
     },
     "nonblocking-streamed": {
         "cycle_time": 255.58520710130193,
@@ -267,24 +219,6 @@ GOLDEN = {
         "wire_time": 10.366924024753976,
         "work": 300.0,
     },
-    "workpile-scalar": {
-        "clients": 6,
-        "compute_residence": 178.22919545444745,
-        "cycles_measured": 144,
-        "events": 900,
-        "handler_time": 50.0,
-        "latency": 10.0,
-        "reply_residence": 46.290655971689475,
-        "response_time": 305.80484878699076,
-        "server_queue": 0.4043512462878155,
-        "server_residence": 58.31141013034557,
-        "server_utilization": 0.3012241302617485,
-        "servers": 2,
-        "sim_time": 12329.475923094285,
-        "throughput": 0.019620356000892965,
-        "wall_throughput": 0.014599160671772173,
-        "work": 200.0,
-    },
     "workpile-streamed": {
         "clients": 6,
         "compute_residence": 175.19677240269468,
@@ -306,23 +240,6 @@ GOLDEN = {
 }
 
 GOLDEN_SWEEP = {
-    (1, False): {
-        "R": 1712.8301836727312,
-        "Rq": 258.8674404295147,
-        "Rw": 1167.9518306799766,
-        "Ry": 206.01091256323937,
-        "Uq": 0.11520455490579799,
-        "Uy": 0.10790718860590875,
-        "X": 0.004670632311514982,
-        "compute_contention": 167.95183067997664,
-        "cycles_measured": 192,
-        "events": 1200,
-        "handler_queue": 0.25816984514763747,
-        "reply_contention": 6.010912563239373,
-        "request_contention": 58.867440429514716,
-        "sim_time": 52817.4271097541,
-        "total_contention": 232.8301836727312,
-    },
     (1, True): {
         "R": 1764.3552221129023,
         "Rq": 275.9442404678601,
@@ -340,23 +257,6 @@ GOLDEN_SWEEP = {
         "sim_time": 53733.41173593292,
         "total_contention": 284.3552221129023,
     },
-    (2, False): {
-        "R": 1686.704860346562,
-        "Rq": 242.14585047152414,
-        "Rw": 1163.7000495479544,
-        "Ry": 200.85896032708402,
-        "Uq": 0.11005306759885322,
-        "Uy": 0.10922673262777613,
-        "X": 0.004742975601763704,
-        "compute_contention": 163.70004954795445,
-        "cycles_measured": 192,
-        "events": 1200,
-        "handler_queue": 0.2545945971365624,
-        "reply_contention": 0.85896032708402,
-        "request_contention": 42.14585047152414,
-        "sim_time": 53049.8908027826,
-        "total_contention": 206.7048603465621,
-    },
     (2, True): {
         "R": 1674.4273943075393,
         "Rq": 222.1393539606314,
@@ -373,23 +273,6 @@ GOLDEN_SWEEP = {
         "request_contention": 22.13935396063141,
         "sim_time": 53354.41628549054,
         "total_contention": 194.42739430753932,
-    },
-    (3, False): {
-        "R": 1792.4046840908265,
-        "Rq": 302.22303587969697,
-        "Rw": 1171.7552637512733,
-        "Ry": 238.42638445985668,
-        "Uq": 0.11700319300388504,
-        "Uy": 0.10841803466506532,
-        "X": 0.004463277780406992,
-        "compute_contention": 171.75526375127333,
-        "cycles_measured": 192,
-        "events": 1200,
-        "handler_queue": 0.2810267233788086,
-        "reply_contention": 38.42638445985668,
-        "request_contention": 102.22303587969697,
-        "sim_time": 56255.020343424905,
-        "total_contention": 312.40468409082655,
     },
     (3, True): {
         "R": 1652.24971491616,
