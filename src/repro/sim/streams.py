@@ -273,10 +273,11 @@ class SampleStream(_BulkStream):
     """Bulk-buffered draws from one ``(distribution, Generator)`` pair.
 
     ``draw()`` is the hot-path call, refilling the buffer through
-    ``dist.sample_many`` only when it runs dry.  Values are bit-identical to what direct ``sample_many`` calls
-    of the same total size would produce on the same generator (every
-    built-in distribution draws element-wise, so chunked bulk draws
-    split cleanly -- see ``tests/sim/test_streams.py``).
+    ``dist.sample_many`` only when it runs dry.  Values are
+    bit-identical to what direct ``sample_many`` calls of the same total
+    size would produce on the same generator (every built-in
+    distribution draws element-wise, so chunked bulk draws split cleanly
+    -- see ``tests/sim/test_streams.py``).
     """
 
     __slots__ = ("dist", "_retired_sum")

@@ -148,9 +148,11 @@ class TestRetiredStreams:
             assert err.value.value is False
 
     def test_explicit_true_keeps_its_key(self):
-        params = dict(MACHINE, W=256.0, cycles=20, seed=3)
-        assert point_key("alltoall-sim", resolve_params(
-            "alltoall-sim", dict(params, streams=True))) == GOLDEN[8][5]
+        (_, _, evaluator, params, _, key), = [
+            case for case in GOLDEN if case[2] == "alltoall-sim"
+        ]
+        resolved = resolve_params(evaluator, dict(params, streams=True))
+        assert point_key(evaluator, resolved) == key
 
     def test_cli_scenario(self):
         # The scenario command raises parameter errors, as it does for
