@@ -17,7 +17,10 @@ Two grids, because the two AMVA kernels stress opposite regimes:
 - ``alltoall-model``: the damped LoPC fixed point converges in ~50
   iterations regardless of parameters, so per-step numpy dispatch
   dominates and wall clock is a wash by construction; the grid gates
-  the *iteration* cut of the staged single-call pipeline instead.
+  the *iteration* cut instead.
+
+Both grids run the sweep runner's one warm route: one batch dispatch
+per coarse-to-fine refinement pass.
 
 The gated ``speedup`` ratios are cold-mean-iterations over
 warm-mean-iterations: pure convergence measures, deterministic for the
@@ -149,12 +152,12 @@ def test_warm_start_iteration_cut(benchmark):
     )
 
 
-def test_warm_start_staged_alltoall_cut(benchmark):
-    """The staged single-call pipeline cuts all-to-all iterations >= 2x.
+def test_warm_start_alltoall_cut(benchmark):
+    """Pass-by-pass warm start cuts all-to-all iterations >= 2x.
 
     The damped LoPC fixed point converges in ~50 iterations cold, so
     wall clock here is dispatch-bound and not asserted; the gate is the
-    staged scheduler's iteration cut and warm/cold value agreement.
+    iteration cut and warm/cold value agreement.
     """
     spec = _alltoall_spec()
     n_points = 1200
@@ -182,7 +185,9 @@ def test_warm_start_staged_alltoall_cut(benchmark):
     )
     stats = warm.metadata["warm_start"]
     assert stats["seeded"] + stats["cold"] == n_points
-    assert stats["chunks"] == 1, "staged path should dispatch one call"
+    assert stats["chunks"] == len(stats["chunk_seeded"]) > 1, (
+        "the warm route should dispatch one call per refinement pass"
+    )
 
     iteration_cut = cold_mean / warm_mean
     benchmark.extra_info["points"] = n_points
@@ -192,7 +197,7 @@ def test_warm_start_staged_alltoall_cut(benchmark):
     benchmark.extra_info["cold_points"] = stats["cold"]
     benchmark.extra_info["speedup"] = iteration_cut
     assert iteration_cut >= _ITERATION_CUT_FLOOR, (
-        f"staged warm start cut mean iterations only {iteration_cut:.2f}x "
+        f"warm start cut mean iterations only {iteration_cut:.2f}x "
         f"({cold_mean:.1f} -> {warm_mean:.1f}; floor "
         f"{_ITERATION_CUT_FLOOR:.1f}x) on {n_points} points"
     )

@@ -235,12 +235,6 @@ class Backend:
         point, and returning each point's converged solver state
         alongside its values so the sweep runner can seed neighbouring
         points.  Only meaningful alongside ``batch``.
-    staged:
-        Whether ``warm`` additionally accepts a ``stager`` keyword and
-        forwards it to the batched fixed-point solve, so the sweep
-        runner can stage every refinement pass inside one solver call
-        (see :class:`repro.core.solver.solve_fixed_point_batch`).
-        Only meaningful alongside ``warm``.
     hints:
         Declared shape knowledge for the optimizer: solved column ->
         ``{param: "increasing" | "decreasing" | "unimodal"}``.
@@ -259,7 +253,6 @@ class Backend:
     defaults: Mapping[str, object] = field(default_factory=dict)
     batch: Callable[[Sequence[Mapping[str, object]]], list] | None = None
     warm: Callable[..., tuple] | None = None
-    staged: bool = False
     hints: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
     doc: str = ""
 
@@ -278,11 +271,6 @@ class Backend:
                 f"backend {self.evaluator!r} declares a warm companion "
                 "without a batch companion; warm-start rides the batch "
                 "fast path"
-            )
-        if self.staged and self.warm is None:
-            raise ValueError(
-                f"backend {self.evaluator!r} declares staged activation "
-                "without a warm companion; staging extends the warm path"
             )
         for column, shapes in self.hints.items():
             for param, shape in dict(shapes).items():

@@ -152,7 +152,6 @@ def _alltoall_solve(
     params_list: Sequence[Mapping[str, object]],
     protocol_processor: bool,
     seeds: Sequence[object] | None = None,
-    stager: object | None = None,
 ) -> tuple[list[dict[str, object]], np.ndarray]:
     """Value records and ``[Rw, Rq, Ry]`` states of a batch of points.
 
@@ -175,7 +174,7 @@ def _alltoall_solve(
     arrays = solve_batch_arrays(
         w, st, so, cv2,
         x0=None if seeds is None else _stack_seeds(seeds, (3,)),
-        stager=stager, protocol_processor=protocol_processor,
+        protocol_processor=protocol_processor,
     )
     return alltoall_value_columns(arrays, w, st, so, procs), arrays["state"]
 
@@ -212,13 +211,10 @@ def _stack_seeds(
 def _alltoall_model_warm(
     params_list: Sequence[Mapping[str, object]],
     seeds: Sequence[object],
-    stager: object | None = None,
     *,
     protocol_processor: bool = False,
 ) -> tuple[list[dict[str, object]], list[np.ndarray]]:
-    values, states = _alltoall_solve(
-        params_list, protocol_processor, seeds, stager
-    )
+    values, states = _alltoall_solve(params_list, protocol_processor, seeds)
     return values, list(states)
 
 
@@ -293,7 +289,6 @@ class AllToAllScenario(Scenario):
             uses=("P", "St", "So", "C2", "W"),
             batch=_alltoall_model_batch,
             warm=_alltoall_model_warm,
-            staged=True,
             # Verified numerically over the fuzz domain: per-node R
             # grows with work and both service costs, throughput falls
             # with work.  R is *constant in P* for this symmetric
@@ -369,7 +364,6 @@ class SharedMemoryScenario(Scenario):
             # shared batch kernel is bit-identical to the scalar path.
             batch=partial(_alltoall_model_batch, protocol_processor=True),
             warm=partial(_alltoall_model_warm, protocol_processor=True),
-            staged=True,
             # Same symmetric pattern as alltoall (R constant in P).
             hints={
                 "R": {"W": "increasing", "So": "increasing",

@@ -215,6 +215,15 @@ def _sweep_metrics_payload(result) -> dict:
     return payload
 
 
+def _param_error(exc: Exception, source: object = None) -> int:
+    """Report a failed parameter check as ``error: ...``; returns 2."""
+    # A KeyError's str() would quote its message.
+    message = exc.args[0] if isinstance(exc, KeyError) else exc
+    prefix = "" if source is None else f"{source}: "
+    print(f"error: {prefix}{message}", file=sys.stderr)
+    return 2
+
+
 def _run_sweep_file(args: argparse.Namespace) -> int:
     from repro.sweep import SweepSpec, run_sweep
     from repro.sweep.runner import check_spec
@@ -225,10 +234,7 @@ def _run_sweep_file(args: argparse.Namespace) -> int:
     try:
         check_spec(spec)
     except (KeyError, ValueError, TypeError) as exc:
-        # A KeyError's str() would quote its message.
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {args.spec}: {message}", file=sys.stderr)
-        return 2
+        return _param_error(exc, args.spec)
     result = run_sweep(spec, cache=_cache_from_args(args),
                        jobs=args.jobs if args.jobs is not None else 1,
                        warm_start=args.warm_start,
@@ -258,33 +264,38 @@ def _run_scenario(args: argparse.Namespace,
         print(cls.describe())
         return 0
 
-    params: dict[str, object] = {}
-    for item in args.params:
-        key, sep, text = item.partition("=")
-        if not sep:
-            parser.error(f"scenario parameters are KEY=VALUE, got {item!r}")
-        params[key] = cls.parse_value(key, text)
-    sc = cls(**params)
-
     from repro.sweep import GridAxis
 
+    params: dict[str, object] = {}
     axes: dict[str, object] = {}
-    for item in args.sweep or ():
-        key, sep, text = item.partition("=")
-        if not sep:
-            parser.error(f"--sweep takes KEY=V1,V2,..., got {item!r}")
-        # Axis instances under a mangled keyword, so a swept `seed`
-        # cannot collide with study()'s spec-level seed argument.
-        axes[f"sweep_{key}"] = GridAxis(
-            key, tuple(cls.parse_value(key, v) for v in text.split(","))
-        )
-        if key == "seed" and args.seed is not None:
-            # The spec-level seed would derive one per-point seed and
-            # clobber every swept value with it.
-            parser.error(
-                "--seed derives per-point seeds and cannot be combined "
-                "with --sweep seed=...; drop one of the two"
+    # Parameter errors end as a usage error before any work, as in `sweep`.
+    try:
+        for item in args.params:
+            key, sep, text = item.partition("=")
+            if not sep:
+                parser.error(
+                    f"scenario parameters are KEY=VALUE, got {item!r}"
+                )
+            params[key] = cls.parse_value(key, text)
+        sc = cls(**params)
+        for item in args.sweep or ():
+            key, sep, text = item.partition("=")
+            if not sep:
+                parser.error(f"--sweep takes KEY=V1,V2,..., got {item!r}")
+            # Axis instances under a mangled keyword, so a swept `seed`
+            # cannot collide with study()'s spec-level seed argument.
+            axes[f"sweep_{key}"] = GridAxis(
+                key, tuple(cls.parse_value(key, v) for v in text.split(","))
             )
+            if key == "seed" and args.seed is not None:
+                # The spec-level seed would derive one per-point seed and
+                # clobber every swept value with it.
+                parser.error(
+                    "--seed derives per-point seeds and cannot be combined "
+                    "with --sweep seed=...; drop one of the two"
+                )
+    except (KeyError, ValueError, TypeError) as exc:
+        return _param_error(exc)
 
     if args.warm_start and not axes:
         parser.error(

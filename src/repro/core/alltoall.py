@@ -241,7 +241,6 @@ def solve_batch_arrays(
     cv2s: Sequence[float] | np.ndarray,
     *,
     x0: np.ndarray | None = None,
-    stager: object | None = None,
     protocol_processor: bool = False,
     damping: float = 0.5,
     tol: float = 1e-12,
@@ -254,7 +253,7 @@ def solve_batch_arrays(
     (``C^2``) may each be a scalar or a vector.  The AMVA state
     ``[Rw, Rq, Ry]`` for *all* points advances through one compacted
     :func:`repro.core.solver.solve_fixed_point_batch` iteration (a
-    single unstaged point runs the same iteration on floats through
+    single point runs the same iteration on floats through
     :func:`~repro.core.solver.solve_fixed_point_one`); each point
     freezes at its scalar solver's convergence iteration, so the
     returned values are bit-identical to per-point
@@ -276,9 +275,7 @@ def solve_batch_arrays(
     ``x0`` optionally warm-starts points from a ``(points, 3)`` array of
     ``[Rw, Rq, Ry]`` states; rows with any non-finite entry
     (conventionally ``nan``) keep the cold contention-free start, so one
-    call mixes seeded and cold points.  ``stager`` optionally stages
-    point activation inside the solve (see
-    :func:`repro.core.solver.solve_fixed_point_batch`).
+    call mixes seeded and cold points.
     """
     w, st, so, cv2 = np.broadcast_arrays(
         np.asarray(works, dtype=float),
@@ -300,7 +297,7 @@ def solve_batch_arrays(
     # Deliberately warning-free: divergent points produce inf/nan in the
     # map and are frozen as failures by the batch kernel.
     with np.errstate(all="ignore"):
-        if w.size == 1 and stager is None:
+        if w.size == 1:
             w1, so1 = w.item(), so.item()
             args = (w1, st2.item(), so1, half_cv2.item(), protocol_processor)
             result = solve_fixed_point_one(
@@ -319,8 +316,8 @@ def solve_batch_arrays(
 
             # Contention-free starting point per point: [W, So, So].
             result = solve_fixed_point_batch(
-                update, np.column_stack([w, so, so]), x0=x0, stager=stager,
-                damping=damping, tol=tol, max_iter=max_iter,
+                update, np.column_stack([w, so, so]), x0=x0, damping=damping,
+                tol=tol, max_iter=max_iter,
             )
     rw, rq, ry = result.value[:, 0], result.value[:, 1], result.value[:, 2]
     r = rw + 2.0 * st + rq + ry
@@ -380,7 +377,6 @@ def solve_batch(
     params: Sequence[LoPCParams],
     *,
     x0: np.ndarray | None = None,
-    stager: object | None = None,
     protocol_processor: bool = False,
     damping: float = 0.5,
     tol: float = 1e-12,
@@ -392,8 +388,8 @@ def solve_batch(
     ``P``); each solution is bit-identical to
     ``AllToAllModel(p.machine).solve(p.algorithm)`` for the matching
     point, with ``meta["batched"] = True`` marking the provenance.
-    ``x0`` and ``stager`` pass warm-start states / staged activation
-    through to :func:`solve_batch_arrays`.
+    ``x0`` passes warm-start states through to
+    :func:`solve_batch_arrays`.
     """
     if len(params) == 0:
         return []
@@ -409,7 +405,6 @@ def solve_batch(
         [p.machine.handler_time for p in params],
         [p.machine.handler_cv2 for p in params],
         x0=x0,
-        stager=stager,
         protocol_processor=protocol_processor,
         damping=damping,
         tol=tol,

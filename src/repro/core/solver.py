@@ -252,7 +252,6 @@ def solve_fixed_point_batch(
     initial: Sequence[Sequence[float]] | np.ndarray,
     *,
     x0: np.ndarray | None = None,
-    stager: "object | None" = None,
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 20_000,
@@ -296,29 +295,6 @@ def solve_fixed_point_batch(
     Seeding only moves the first iterate; each point still converges to
     the same fixed point within ``tol``.
 
-    ``stager`` (optional) stages point activation *inside* the solve so
-    warm seeds can be interpolated from donor points as soon as those
-    donors are nearly converged, without paying one solver call per
-    refinement pass.  It must expose:
-
-    - ``initial_active``: ``(points,)`` bool mask of points that start
-      iterating immediately; the rest stay dormant (not iterated, not
-      counted) until activated.
-    - ``poll(x, residuals, active, dormant)``: called once per
-      iteration while dormant points remain; yields ``(rows, seeds)``
-      pairs of dormant row indices to activate now and their
-      ``(len(rows), *dims)`` seed states (non-finite rows start cold).
-
-    While points are dormant the full-size results are written every
-    iteration, so ``poll`` sees every point's current state; woken
-    points are appended to the working set.  Per-point iteration counts
-    are measured from each point's activation step, so telemetry means
-    stay comparable with unstaged solves.  If every active point retires
-    while some are still dormant, the remaining dormant points are
-    force-activated cold rather than stalling the solve.
-    ``stager=None`` leaves the solve loop bit-identical to the unstaged
-    path.
-
     The active telemetry bundle's ``retire`` hook, when set, hears how
     many points each iteration retired (the sweep runner's progress).
     """
@@ -333,29 +309,12 @@ def solve_fixed_point_batch(
     if x.ndim < 2:
         raise ValueError("initial must be a (points, *dims) array")
     n_points = x.shape[0]
-    point_axes = tuple(range(1, x.ndim))
     seeded, x = _apply_batch_seeds(x, x0)
 
     iterations = np.zeros(n_points, dtype=np.int64)
     residuals = np.full(n_points, np.inf)
     converged = np.zeros(n_points, dtype=bool)
-    # Activation step per point: iteration counts are reported relative
-    # to it so staged points' telemetry matches a fresh solve's.
-    activation = np.zeros(n_points, dtype=np.int64)
     rows = np.arange(n_points)
-    staging = False
-    if stager is not None:
-        initial_active = np.asarray(stager.initial_active, dtype=bool)
-        if initial_active.shape != (n_points,):
-            raise ValueError(
-                f"stager.initial_active shape {initial_active.shape} does "
-                f"not match ({n_points},)"
-            )
-        dormant = ~initial_active
-        staging = bool(dormant.any())
-        rows = np.flatnonzero(initial_active)
-        if seeded is None:
-            seeded = np.zeros(n_points, dtype=bool)
 
     tel = _obs_context.active()
     trajectory: list[float] | None = (
@@ -367,16 +326,7 @@ def solve_fixed_point_batch(
     xw = x[rows]  # the working set: the active rows' states, contiguous
     for iteration in range(1, max_iter + 1):
         if not rows.size:
-            if not staging:
-                break
-            # Every active point retired before the remaining dormant
-            # points' donors were ready: activate them cold instead of
-            # stalling the solve.
-            rows = np.flatnonzero(dormant)
-            activation[rows] = iteration - 1
-            dormant[rows] = False
-            staging = False
-            xw = x[rows]
+            break
         fx = np.asarray(func(xw, rows), dtype=float)
         if fx.ndim < 2:
             fx = np.atleast_2d(fx)
@@ -405,41 +355,16 @@ def solve_fixed_point_batch(
         if trajectory is not None and len(trajectory) < TRAJECTORY_CAP:
             trajectory.append(float(good.max()) if good.size else np.inf)
         any_retired = np.logical_or.reduce(retired)
-        if not (any_retired or staging or iteration == max_iter):
+        if not (any_retired or iteration == max_iter):
             continue
         x[rows] = xw
         residuals[rows] = res
-        iterations[rows] = iteration - activation[rows]
+        iterations[rows] = iteration
         if any_retired:
             converged[rows[done]] = True
             rows, xw = rows[~retired], xw[~retired]
             if retire is not None:
                 retire(int(np.count_nonzero(retired)))
-        if not staging:
-            continue
-        active = np.zeros(n_points, dtype=bool)
-        active[rows] = True
-        woken = [rows]
-        for wake_rows, wake_seeds in stager.poll(
-            x, residuals, active, dormant
-        ):
-            wake_rows = np.asarray(wake_rows, dtype=np.int64)
-            if not wake_rows.size:
-                continue
-            wake_seeds = np.asarray(wake_seeds, dtype=float)
-            warm = np.all(np.isfinite(wake_seeds), axis=point_axes)
-            x[wake_rows[warm]] = wake_seeds[warm]
-            seeded[wake_rows[warm]] = True
-            activation[wake_rows] = iteration
-            dormant[wake_rows] = False
-            active[wake_rows] = True
-            woken.append(wake_rows)
-        if len(woken) > 1:
-            # Woken rows join the end of the working set; the rows
-            # already there keep their contiguous states.
-            rows = np.concatenate(woken)
-            xw = np.concatenate([xw, x[rows[len(xw):]]])
-            staging = bool(dormant.any())
 
     return _settle_batch(
         BatchFixedPointResult(x, iterations, residuals, converged),

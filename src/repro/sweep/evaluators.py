@@ -78,7 +78,6 @@ def register_evaluator(
     *,
     batch: BatchEvaluator | None = None,
     warm: WarmBatchEvaluator | None = None,
-    staged: bool = False,
 ) -> Callable[[Evaluator], Evaluator]:
     """Decorator adding a point evaluator to the backend table.
 
@@ -99,11 +98,8 @@ def register_evaluator(
     ``None`` per point -- and returns ``(raw_values_list,
     states_list)``.  A warm solve must converge to the same fixed point
     as a cold one, and an all-``None`` seed list must be bit-identical
-    to ``batch``.  ``staged=True`` says ``warm`` also accepts a
-    ``stager`` keyword for :func:`repro.core.solver.
-    solve_fixed_point_batch`, so the runner can stage every refinement
-    pass inside one solver call.  :class:`~repro.api.scenario.Backend`
-    rejects ``warm`` without ``batch`` and ``staged`` without ``warm``.
+    to ``batch``.  :class:`~repro.api.scenario.Backend` rejects ``warm``
+    without ``batch``.
 
     Evaluators registered at runtime are only visible to ``jobs > 1``
     pools on fork-start platforms (Linux); spawn-start workers
@@ -115,7 +111,6 @@ def register_evaluator(
         _register_backends(None, [Backend(
             role="custom", evaluator=name, func=func,
             defaults=dict(defaults or {}), batch=batch, warm=warm,
-            staged=staged,
         )])
         return func
 
@@ -186,7 +181,6 @@ def evaluate_batch_warm(
     name: str,
     params_list: Sequence[Mapping[str, object]],
     seeds: Sequence[object],
-    stager: object | None = None,
 ) -> tuple[list[dict[str, object]], list[object]]:
     """Evaluate many points through a warm-start batch companion.
 
@@ -196,21 +190,10 @@ def evaluate_batch_warm(
     solver state for seeding later chunks.  Values converge to the same
     fixed point as the cold batch path (bit-identical when every seed
     is ``None``), so the runner caches them under the same keys.
-
-    ``stager`` (optional; only for evaluators registered with
-    ``staged=True``) is forwarded to the underlying batched solve so
-    point activation is staged inside one call -- ``seeds`` then
-    typically stays all-``None`` and the stager synthesises seeds
-    mid-solve.
     """
-    backend = get_backend(name)
-    func = backend.warm
+    func = get_backend(name).warm
     if func is None:
         raise KeyError(f"evaluator {name!r} has no warm-start companion")
-    if stager is not None and not backend.staged:
-        raise ValueError(
-            f"warm evaluator {name!r} does not support staged activation"
-        )
     if not params_list:
         return [], []
     if len(seeds) != len(params_list):
@@ -219,10 +202,7 @@ def evaluate_batch_warm(
             f"{len(params_list)} points"
         )
     start = time.perf_counter()
-    if stager is not None:
-        raw_values, states = func(params_list, seeds, stager=stager)
-    else:
-        raw_values, states = func(params_list, seeds)
+    raw_values, states = func(params_list, seeds)
     wall = time.perf_counter() - start
     if len(raw_values) != len(params_list) or len(states) != len(params_list):
         raise ValueError(

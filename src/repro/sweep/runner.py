@@ -14,8 +14,8 @@
    order;
 4. persist fresh records back to the cache, one batched write at the
    end of each dispatch -- the whole miss list, or each refinement pass
-   of a pass-by-pass warm start (so an interrupted warm sweep resumes
-   from its finished passes, and overlapping sweeps share work);
+   of a warm start (so an interrupted warm sweep resumes from its
+   finished passes, and overlapping sweeps share work);
 5. assemble a :class:`~repro.sweep.results.SweepResult` whose metadata
    reports cache traffic, total simulator events, and per-point compute
    time -- the numbers benchmark JSONs track across PRs.
@@ -106,16 +106,6 @@ _WARM_WINDOW = 12
 #: point falls back to copying that donor.
 _WARM_GUARD = 0.5
 
-#: A donor is *ready* to seed dependents inside a staged solve once its
-#: relative step residual drops to this (or it retires).  Above solver
-#: tolerances -- a seed only moves a point's first iterate, so waiting
-#: for full convergence would serialise the refinement passes -- but
-#: tight enough that donor error stays below the interpolation error:
-#: a looser threshold (1e-6) measurably inflates seeded points'
-#: iteration counts, because every lost decade of donor accuracy costs
-#: the dependents ~1/log10(damping) extra iterations.
-_WARM_READY = 1e-9
-
 
 def _refinement_level(position: int) -> int:
     """Refinement pass of the ``position``-th point along its column."""
@@ -176,18 +166,6 @@ def _lagrange_seeds(xs: np.ndarray, states: np.ndarray,
     return np.where(keep[:, :, np.newaxis], seeds, nearest)
 
 
-def _column_seeds(donors: "list[tuple[float, np.ndarray]]",
-                  targets: np.ndarray) -> "list[np.ndarray]":
-    """Seeds for one column's ``targets`` (see :func:`_lagrange_seeds`)."""
-    shape = donors[0][1].shape
-    xs = np.array([x for x, _ in donors])
-    states = np.stack([state for _, state in donors])
-    seeds = _lagrange_seeds(
-        xs, states.reshape(1, len(donors), -1), targets
-    )[0]
-    return [row.reshape(shape).copy() for row in seeds]
-
-
 def _sig_value(value):
     """A hashable stand-in for a parameter value in a signature tuple."""
     if value is None or isinstance(value, (str, int, float, bool)):
@@ -207,8 +185,8 @@ class _WarmScheduler:
     passes are seeded by guarded polynomial interpolation
     (:func:`_lagrange_seeds`) through the nearest already-converged states
     of the same column, which by construction *bracket* them.  Each pass
-    (:attr:`boundaries`) is one dispatch of the pass-by-pass route, wide
-    enough for the batch kernels to vectorize over.
+    (:attr:`boundaries`) is one dispatch of the warm route, wide enough
+    for the batch kernels to vectorize over.
     Columns with a single usable donor copy it; columns with none copy
     the nearest solved point of the same signature in span-normalized
     parameter space; points with no usable donor start cold (seed
@@ -300,8 +278,6 @@ class _WarmScheduler:
             # lengths/types (keyset extras) do not compare directly.
             leveled.sort(key=lambda item: (item[0], repr(item[1]), item[2]))
             self.entries = [item[1:] for item in leveled]
-            #: Refinement level per entry of :attr:`order` (staging input).
-            self.levels = [item[0] for item in leveled]
             lo = 0
             #: Ranges over :attr:`order`, one per refinement pass.
             self.boundaries: list[tuple[int, int]] = []
@@ -317,7 +293,6 @@ class _WarmScheduler:
             entries.sort(key=lambda entry: (repr(entry[0]), entry[1]))
             self.entries = entries
             self.boundaries = [(0, len(entries))] if entries else []
-            self.levels = [0] * len(entries)
             self._spans = None
         #: The misses in evaluation order (seeding works front to back).
         self.order = [miss for _, _, miss in self.entries]
@@ -410,136 +385,6 @@ class _WarmScheduler:
                     )
                 self._solved.setdefault(signature, []).append((coord, arr))
 
-    def stager(self) -> "_WarmStager | None":
-        """An in-solve activation stager over :attr:`order`, or ``None``.
-
-        ``None`` when there is nothing to stage (no numeric axis, or a
-        single refinement pass), in which case the caller runs the
-        passes one dispatch each.
-        """
-        if not self.numeric or len(self.boundaries) < 2:
-            return None
-        return _WarmStager(self)
-
-
-class _StageGroup:
-    """One column's points at one refinement level, awaiting donors."""
-
-    __slots__ = ("rows", "targets", "donor_rows", "donor_xs", "pending")
-
-    def __init__(self, rows, targets, donor_rows, donor_xs):
-        self.rows = rows
-        self.targets = targets
-        self.donor_rows = donor_rows
-        self.donor_xs = donor_xs
-        self.pending = len(donor_rows)
-
-
-class _WarmStager:
-    """Stages point activation inside one batched fixed-point solve.
-
-    The pass-by-pass warm loop pays one solver call per refinement
-    level, and every pass runs as long as its slowest point -- a
-    handful of hard points near a saturation knee pin each pass at
-    near-cold depth, so the passes' tails serialise.  Staging instead
-    hands the *whole* miss set to one masked solve: level-0 points
-    start active (cold), every finer-level group stays dormant until
-    each of its donor points is *ready* -- retired, or within
-    :data:`_WARM_READY` relative residual -- and then activates with
-    guarded polynomial seeds interpolated from the donors' current
-    iterates (:func:`_lagrange_seeds`).  Columns progress
-    independently, so one column's straggler no longer stalls
-    another's refinement, and the per-call dispatch cost is paid once.
-
-    Implements the ``stager`` protocol of
-    :func:`repro.core.solver.solve_fixed_point_batch`:
-    :attr:`initial_active` plus :meth:`poll`.  A donor that diverges
-    never turns ready; its dependents are force-activated cold by the
-    solver once every active point retires, so staging cannot stall a
-    solve.  Seeds from nearly-converged donors are safe for the same
-    reason all warm seeds are: a seed only moves a point's first
-    iterate, never the fixed point it converges to.
-    """
-
-    def __init__(self, scheduler: _WarmScheduler) -> None:
-        entries = scheduler.entries
-        levels = scheduler.levels
-        n = len(entries)
-        self.initial_active = np.array([lvl == 0 for lvl in levels])
-        #: Points handed finite seeds at activation (telemetry).
-        self.seeded = 0
-        columns: dict[tuple, list[int]] = {}
-        for i, (signature, coord, _) in enumerate(entries):
-            columns.setdefault((signature,) + coord[1:], []).append(i)
-        self._groups: list[_StageGroup] = []
-        #: donor row -> indices of groups waiting on it.
-        self._watchers: dict[int, list[int]] = {}
-        self._watched = np.zeros(n, dtype=bool)
-        self._ready = np.zeros(n, dtype=bool)
-        for members in columns.values():
-            by_level: dict[int, list[int]] = {}
-            for i in members:
-                by_level.setdefault(levels[i], []).append(i)
-            if len(by_level) < 2:
-                continue  # single-level column: all points start active
-            # Position 0 of every column is level 0, so each group's
-            # donor pool (every coarser level of the column) is
-            # non-empty by construction.
-            donor_rows: list[int] = by_level[0]
-            for level in sorted(by_level)[1:]:
-                rows = by_level[level]
-                group = _StageGroup(
-                    rows=np.array(rows, dtype=np.int64),
-                    targets=np.array([entries[i][1][0] for i in rows]),
-                    donor_rows=np.array(donor_rows, dtype=np.int64),
-                    donor_xs=np.array(
-                        [entries[i][1][0] for i in donor_rows]
-                    ),
-                )
-                index = len(self._groups)
-                self._groups.append(group)
-                for donor in donor_rows:
-                    self._watched[donor] = True
-                    self._watchers.setdefault(donor, []).append(index)
-                donor_rows = donor_rows + rows
-
-    def poll(self, x, residuals, active, dormant):
-        """Activations triggered by donors that became ready this step.
-
-        Yields ``(rows, seeds)`` for every group whose last pending
-        donor just turned ready.  A retired-but-diverged donor counts
-        as ready too: its non-finite state propagates through the seed
-        guards into non-finite seed rows, which the solver starts cold
-        -- strictly better than holding the group dormant.
-        """
-        fresh = (
-            self._watched
-            & ~self._ready
-            & ~dormant
-            & (~active | (residuals <= _WARM_READY))
-        )
-        if not fresh.any():
-            return
-        self._ready |= fresh
-        for donor in np.flatnonzero(fresh):
-            for index in self._watchers[donor]:
-                group = self._groups[index]
-                group.pending -= 1
-                if group.pending == 0:
-                    yield self._activate(group, x)
-
-    def _activate(self, group: _StageGroup, x: np.ndarray):
-        donors = x[group.donor_rows]
-        seeds = _lagrange_seeds(
-            group.donor_xs,
-            donors.reshape(1, len(donors), -1),
-            group.targets,
-        )[0].reshape((len(group.rows),) + donors.shape[1:])
-        self.seeded += int(
-            np.isfinite(seeds.reshape(len(seeds), -1)).all(axis=1).sum()
-        )
-        return group.rows, seeds
-
 
 def _route(meta: dict) -> str:
     """Which path produced a record: cached / batch / scalar / sim."""
@@ -613,42 +458,25 @@ class _Reporter:
             )
 
 
-def _run_warm(spec: SweepSpec, backend: Backend,
-              misses: "list[tuple[int, str, dict]]",
+def _run_warm(spec: SweepSpec, misses: "list[tuple[int, str, dict]]",
               absorb) -> "dict[str, object]":
     """Evaluate ``misses`` warm-started; returns the warm-start stats.
 
-    A staged evaluator rides every refinement pass in one solver call:
-    later levels sit dormant inside the masked solve and wake with
-    interpolated seeds as their donors converge, so one column's
-    straggler cannot pin every pass's depth and the dispatch cost is
-    paid once.  The others run pass by pass, each pass seeded from the
-    states the earlier ones converged to and persisted by ``absorb``
-    as it finishes.
+    One dispatch per refinement pass, each seeded from the states the
+    earlier passes converged to and persisted by ``absorb`` as it
+    finishes.
     """
     scheduler = _WarmScheduler(spec, misses)
-    stager = scheduler.stager() if backend.staged else None
-    if stager is not None:
-        order = scheduler.order
-        fresh, _ = evaluate_batch_warm(
-            spec.evaluator,
-            [p for _, _, p in order],
-            [None] * len(order),
-            stager=stager,
+    chunk_seeded = []
+    for lo, hi in scheduler.boundaries:
+        chunk = scheduler.order[lo:hi]
+        seeds = scheduler.seeds(lo, hi)
+        fresh, states = evaluate_batch_warm(
+            spec.evaluator, [p for _, _, p in chunk], seeds
         )
-        absorb(order, fresh)
-        chunk_seeded = [stager.seeded]
-    else:
-        chunk_seeded = []
-        for lo, hi in scheduler.boundaries:
-            chunk = scheduler.order[lo:hi]
-            seeds = scheduler.seeds(lo, hi)
-            fresh, states = evaluate_batch_warm(
-                spec.evaluator, [p for _, _, p in chunk], seeds
-            )
-            scheduler.absorb(lo, hi, states)
-            absorb(chunk, fresh)
-            chunk_seeded.append(sum(1 for seed in seeds if seed is not None))
+        scheduler.absorb(lo, hi, states)
+        absorb(chunk, fresh)
+        chunk_seeded.append(sum(1 for seed in seeds if seed is not None))
     seeded = sum(chunk_seeded)
     return {
         "chunks": len(chunk_seeded),
@@ -707,7 +535,8 @@ def run_sweep(
         refinement pass seeded by polynomial interpolation of the
         states the coarser passes converged to -- same fixed points to
         within solver tolerance, in roughly half the AMVA iterations on
-        dense grids.  Warm-starting is an execution strategy, not a
+        dense grids.  Each pass is one batch dispatch, and its records
+        reach the cache as it finishes.  Warm-starting is an execution strategy, not a
         model parameter: cache keys are unchanged, so warm and cold
         records are interchangeable.  The default ``False`` preserves
         the cold path bit for bit.  Ignored (cold path) for evaluators
@@ -832,8 +661,7 @@ def _run_sweep(
         def absorb(chunk: "list[tuple[int, str, dict]]",
                    outcomes: "list[dict]") -> None:
             # One batched write per dispatch: a sweep interrupted between
-            # the passes of a pass-by-pass warm start keeps every
-            # finished pass.
+            # the passes of a warm start keeps every finished pass.
             unwritten = []
             for (index, key, params), outcome in zip(chunk, outcomes):
                 values, meta = outcome["values"], outcome["meta"]
@@ -889,7 +717,7 @@ def _run_sweep(
                     )
                 absorb(misses, fresh)
             elif misses:
-                warm_stats = _run_warm(spec, backend, misses, absorb)
+                warm_stats = _run_warm(spec, misses, absorb)
         if reporter is not None:
             reporter.send(total)
         if warm_stats is not None:

@@ -136,13 +136,6 @@ class TestValidation:
                                      defaults={"bogus": 1}),),
             })
 
-    def test_backend_staged_requires_warm_companion(self):
-        from repro.api import Backend
-
-        with pytest.raises(ValueError, match="staged"):
-            Backend(role="analytic", evaluator="staged-only",
-                    func=lambda p: {}, staged=True)
-
     def test_family_parameters_accepted(self):
         sc = scenario("multiclass", N0=2, N1=1, Z1=5.0, D0_0=1.0, D1_0=0.5)
         assert sc.params["N1"] == 1

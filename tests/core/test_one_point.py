@@ -1,7 +1,7 @@
 """A batch of one point runs on Python floats, bit for bit.
 
 :func:`repro.core.solver.solve_fixed_point_one` replays the numpy batch
-kernel's per-row operations for a single unstaged point.  For random
+kernel's per-row operations for a single point.  For random
 all-to-all, shared-memory and workpile points its values, iteration
 counts and residuals must equal both the scalar model classes' (the
 oracle) and the numpy kernel's on a two-row batch, which forces the

@@ -255,7 +255,7 @@ class _Rows:
     """A per-row affine map that can go non-finite on a chosen call.
 
     Row ``i`` maps ``x`` to ``a_i * reversed(x) + b_i``; on its
-    ``blow_i``-th call (counted from its activation; 0 = never) entry 0
+    ``blow_i``-th call (0 = never) entry 0
     becomes ``bad_i`` (inf, -inf or nan).  :meth:`batch` is the
     ``func(x_active, rows)`` form, :meth:`scalar` a fresh per-row map
     for :func:`solve_fixed_point` that records its last input.
@@ -284,24 +284,6 @@ class _Rows:
             return y
 
         return f, state
-
-
-class _ScheduledStager:
-    """Wakes the rows scheduled for poll ``t`` at poll ``t`` (rows no
-    longer dormant are skipped), with their seeds (NaN rows = cold)."""
-
-    def __init__(self, initial_active, schedule, seeds):
-        self.initial_active = initial_active
-        self.schedule = schedule
-        self.seeds = seeds
-        self.polls = 0
-
-    def poll(self, x, residuals, active, dormant):
-        self.polls += 1
-        rows = [r for r in self.schedule.get(self.polls, ()) if dormant[r]]
-        if rows:
-            rows = np.array(rows, dtype=np.int64)
-            yield rows, self.seeds[rows]
 
 
 def _oracle(rows, i, start, budget, damping, tol):
@@ -351,82 +333,34 @@ def _batch_cases(draw):
     cold = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     x0[cold] = np.nan
     case["x0"] = draw(st.sampled_from([None, x0]))
-    if draw(st.booleans()):
-        seeds = np.array(draw(st.lists(
-            st.lists(floats, min_size=dims, max_size=dims),
-            min_size=n, max_size=n)))
-        seeds[np.array(draw(st.lists(st.booleans(), min_size=n,
-                                     max_size=n)))] = np.nan
-        schedule: dict[int, list[int]] = {}
-        initial_active = np.ones(n, dtype=bool)
-        for i in range(n):
-            poll = draw(st.sampled_from([None, 1, 2, 6, 30, 90]))
-            if poll is not None:
-                initial_active[i] = False
-                schedule.setdefault(poll, []).append(i)
-        case["stager"] = (initial_active, schedule, seeds)
-    else:
-        case["stager"] = None
     return case
 
 
 def _expected(case):
-    """Per-row oracle results, following the staged activation order."""
+    """Per-row oracle results: each row solved alone from its start."""
     rows = _Rows(case["a"], case["b"], case["blow"], case["bad"])
-    n, max_iter = len(case["a"]), case["max_iter"]
     x0 = case["x0"]
-    cold = [_finite_or(None if x0 is None else x0[i], case["initial"][i])
-            for i in range(n)]
-    out: dict[int, tuple] = {}
-    ends: dict[int, tuple[int, int]] = {}
-
-    def activate(i, start, at):
-        out[i] = _oracle(rows, i, start, max_iter - at, case["damping"],
-                         case["tol"])
-        ends[i] = (at, at + out[i][1])
-
-    if case["stager"] is None:
-        for i in range(n):
-            activate(i, cold[i], 0)
-        return out
-    initial_active, schedule, seeds = case["stager"]
-    dormant = [i for i in range(n) if not initial_active[i]]
-    for i in np.flatnonzero(initial_active):
-        activate(int(i), cold[i], 0)
-    for t in range(1, max_iter + 1):
-        running = any(at <= t - 1 < end for at, end in ends.values())
-        if not running:
-            if not dormant:
-                break
-            for i in dormant:  # the stall guard: activate cold
-                activate(i, cold[i], t - 1)
-            dormant = []
-            continue
-        if dormant:
-            for i in schedule.get(t, ()):
-                if i in dormant:
-                    dormant.remove(i)
-                    activate(i, _finite_or(seeds[i], cold[i]), t)
-    for i in dormant:
-        out[i] = (cold[i], 0, math.inf, False)
-    return out
+    return {
+        i: _oracle(
+            rows, i,
+            _finite_or(None if x0 is None else x0[i], case["initial"][i]),
+            case["max_iter"], case["damping"], case["tol"],
+        )
+        for i in range(len(case["a"]))
+    }
 
 
 class TestCompactedLoopProperty:
     """Every row of the compacted loop -- retiring at its own iteration,
-    going non-finite, running out of ``max_iter``, seeded or cold, woken
-    by a stager or force-activated on a stall -- is bit-identical to a
-    scalar solve of that row alone."""
+    going non-finite, running out of ``max_iter``, seeded or cold -- is
+    bit-identical to a scalar solve of that row alone."""
 
     @settings(max_examples=150, deadline=None)
     @given(_batch_cases())
     def test_rows_match_scalar_oracle(self, case):
-        stager = None
-        if case["stager"] is not None:
-            stager = _ScheduledStager(*case["stager"])
         rows = _Rows(case["a"], case["b"], case["blow"], case["bad"])
         result = solve_fixed_point_batch(
-            rows.batch, case["initial"], x0=case["x0"], stager=stager,
+            rows.batch, case["initial"], x0=case["x0"],
             damping=case["damping"], tol=case["tol"],
             max_iter=case["max_iter"], raise_on_failure=False,
         )
@@ -440,9 +374,9 @@ class TestCompactedLoopProperty:
 
 
 class TestBatchTrajectoryPinned:
-    """The solver event of a staged solve -- one row goes non-finite,
-    one wakes seeded, one is force-activated on a stall -- is pinned to
-    the values the full-size masked loop recorded before compaction."""
+    """The solver event of a mixed solve -- one row goes non-finite, one
+    starts seeded, the rest retire at their own iterations -- is pinned
+    to the values the full-size masked loop recorded before compaction."""
 
     def test_event_matches_recorded_values(self):
         n = 6
@@ -452,16 +386,12 @@ class TestBatchTrajectoryPinned:
             blow=np.array([0, 0, 4, 0, 0, 0]),
             bad=np.full(n, np.nan),
         )
-        seeds = np.full((n, 2), np.nan)
-        seeds[4] = [1.5, -2.0]
-        stager = _ScheduledStager(
-            np.array([True, True, True, False, False, False]),
-            {3: [3], 5: [4]}, seeds,
-        )
+        x0 = np.full((n, 2), np.nan)
+        x0[4] = [1.5, -2.0]
         log = obs.EventLog()
         with obs.telemetry(events=log):
             result = solve_fixed_point_batch(
-                rows.batch, np.zeros((n, 2)), stager=stager, tol=1e-3,
+                rows.batch, np.zeros((n, 2)), x0=x0, tol=1e-3,
                 raise_on_failure=False,
             )
         assert result.iterations.tolist() == [13, 16, 4, 15, 20, 17]
@@ -479,19 +409,13 @@ class TestBatchTrajectoryPinned:
 
 
 _PINNED_TRAJECTORY = [
-    4.0, 1.1333333333333335, 0.4074468085106383, 3.0, 1.2999999999999998,
-    3.2, 2.1166666666666663, 0.4842105263157893, 0.2159713168187744,
-    0.12103668402318118, 0.08861712001396653, 0.06666544883066305,
+    7.0, 2.1166666666666663, 0.5343283582089551, 0.27697290930506496,
+    0.1590202519204408, 0.09603769787551106, 0.06666544883066305,
     0.048820376272393204, 0.03519705815009839, 0.025130517470104807,
     0.017830775937326262, 0.01259853223549352, 0.008876299820718957,
     0.006241537364687854, 0.004382882672312459, 0.0030747947899693448,
     0.002155682124635539, 0.0015106091786920024, 0.0010582267581963612,
-    0.000741151198865972, 7.0, 1.3499999999999999, 0.5343283582089551,
-    0.27697290930506496, 0.1590202519204408, 0.09603769787551106,
-    0.0596603539209283, 0.03768859335026795, 0.024055699339875346,
-    0.015454248463732547, 0.009969582813019363, 0.006448555611408751,
-    0.004178253499517322, 0.0027102599840927257, 0.0017593049111234618,
-    0.001142550138627922, 0.0007422360147277986,
+    0.000741151198865972,
 ]
 
 

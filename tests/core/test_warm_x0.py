@@ -208,113 +208,3 @@ class TestModelBatchX0:
             for w, c in zip(warm, cold):
                 assert w.throughput == pytest.approx(c.throughput,
                                                      rel=1e-9)
-
-
-class TestBatchSolverStager:
-    """The ``stager`` protocol: in-solve activation of dormant points."""
-
-    TARGETS = (1.0 + np.arange(4, dtype=float))[:, None] * np.ones(3)
-
-    @staticmethod
-    def _func(x, rows):
-        # Independent per-point contractions toward (1 + row index).
-        targets = (1.0 + rows.astype(float))[:, None]
-        return 0.5 * x + 0.5 * targets
-
-    class _ExactSeedStager:
-        """Rows 2-3 wake with exact fixed points once rows 0-1 retire."""
-
-        def __init__(self, targets):
-            self.initial_active = np.array([True, True, False, False])
-            self._targets = targets
-            self.fired_at_active = None
-
-        def poll(self, x, residuals, active, dormant):
-            if self.fired_at_active is not None or active[:2].any():
-                return
-            self.fired_at_active = active.copy()
-            yield np.array([2, 3]), self._targets[2:]
-
-    class _NeverStager:
-        def __init__(self):
-            self.initial_active = np.array([True, True, False, False])
-
-        def poll(self, x, residuals, active, dormant):
-            return ()
-
-    def test_staged_activation_reaches_the_same_fixed_points(self):
-        initial = np.zeros((4, 3))
-        cold = solve_fixed_point_batch(self._func, initial)
-        stager = self._ExactSeedStager(self.TARGETS)
-        staged = solve_fixed_point_batch(self._func, initial, stager=stager)
-        assert stager.fired_at_active is not None
-        assert staged.converged.all()
-        assert np.allclose(staged.value, cold.value, atol=1e-9)
-        # Initially-active rows never notice the stager: bit-identical.
-        assert np.array_equal(staged.value[:2], cold.value[:2])
-        assert np.array_equal(staged.iterations[:2], cold.iterations[:2])
-
-    def test_iterations_count_from_activation(self):
-        stager = self._ExactSeedStager(self.TARGETS)
-        staged = solve_fixed_point_batch(
-            self._func, np.zeros((4, 3)), stager=stager
-        )
-        # Seeded exactly on the fixed point, an activated row retires on
-        # its first post-activation step -- despite waking dozens of
-        # solver iterations in.
-        assert staged.iterations[2] == 1
-        assert staged.iterations[3] == 1
-
-    def test_stall_guard_force_activates_cold(self):
-        initial = np.zeros((4, 3))
-        cold = solve_fixed_point_batch(self._func, initial)
-        staged = solve_fixed_point_batch(
-            self._func, initial, stager=self._NeverStager()
-        )
-        # A stager that never wakes its rows cannot stall the solve: the
-        # dormant rows start cold once every active row retires, and
-        # their relative iteration counts match a fresh cold solve.
-        assert staged.converged.all()
-        assert np.array_equal(staged.value, cold.value)
-        assert np.array_equal(staged.iterations[2:], cold.iterations[2:])
-
-    def test_nonfinite_wake_seeds_start_cold(self):
-        initial = np.zeros((4, 3))
-        cold = solve_fixed_point_batch(self._func, initial)
-        seeds = self.TARGETS.copy()
-        seeds[2] = np.nan  # a diverged donor poisons row 2's seed
-        staged = solve_fixed_point_batch(
-            self._func, initial, stager=self._ExactSeedStager(seeds)
-        )
-        assert staged.converged.all()
-        assert np.array_equal(staged.value[2], cold.value[2])
-        assert staged.iterations[2] == cold.iterations[2]
-        assert staged.iterations[3] == 1  # finite sibling still seeded
-
-    def test_all_active_stager_is_bit_identical_to_none(self):
-        initial = np.zeros((4, 3))
-
-        class _AllActive:
-            initial_active = np.ones(4, dtype=bool)
-
-            def poll(self, x, residuals, active, dormant):
-                raise AssertionError("poll must not run with no dormants")
-
-        plain = solve_fixed_point_batch(self._func, initial)
-        staged = solve_fixed_point_batch(
-            self._func, initial, stager=_AllActive()
-        )
-        assert np.array_equal(staged.value, plain.value)
-        assert np.array_equal(staged.iterations, plain.iterations)
-
-    def test_initial_active_shape_validated(self):
-        class _Short:
-            initial_active = np.ones(3, dtype=bool)
-
-            def poll(self, x, residuals, active, dormant):
-                return ()
-
-        with pytest.raises(ValueError, match="initial_active"):
-            solve_fixed_point_batch(
-                self._func, np.zeros((4, 3)), stager=_Short()
-            )

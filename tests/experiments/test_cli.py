@@ -201,9 +201,19 @@ class TestScenarioCommand:
         with pytest.raises(SystemExit):
             main(["scenario", "alltoall", "P32"])
 
-    def test_unknown_param_name_raises(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            main(["scenario", "alltoall", "Q=1"])
+    def test_unknown_param_name_raises(self, capsys):
+        # A parameter error is a usage error, as in `sweep`: an `error:`
+        # line and exit 2, not a traceback.
+        cases = (
+            (["W=256", "Q=1"], "error: unknown parameter 'Q'"),
+            (["W=256", "streams=false"],
+             "error: parameter 'streams'=False is no longer supported"),
+            (["--sweep", "Lxyz=1,2"], "error: unknown parameter 'Lxyz'"),
+        )
+        for extra, message in cases:
+            assert main(["scenario", "alltoall", "P=4", "St=40", "So=200",
+                         *extra]) == 2
+            assert capsys.readouterr().err.startswith(message), extra
 
 
 class TestSweepCommand:

@@ -193,9 +193,9 @@ def dispatch_log(monkeypatch):
         log.append(("evaluate_batch", [dict(p) for p in params_list]))
         return real_batch(name, params_list)
 
-    def warm(name, params_list, seeds, stager=None):
+    def warm(name, params_list, seeds):
         log.append(("evaluate_batch_warm", [dict(p) for p in params_list]))
-        return real_warm(name, params_list, seeds, stager=stager)
+        return real_warm(name, params_list, seeds)
 
     def executor_map(self, tasks):
         log.append(("executor.map", [dict(p) for _, p in tasks]))
@@ -230,9 +230,9 @@ def _multiclass_grid(n0=(2, 5, 9), points=12):
     )
 
 
-def _staged_grid():
+def _alltoall_grid():
     return SweepSpec(
-        name="tel-staged", evaluator="alltoall-model",
+        name="tel-alltoall", evaluator="alltoall-model",
         base={"P": 32, "St": 40.0, "C2": 0.0},
         axes=(GridAxis("W", tuple(np.linspace(2.0, 2048.0, 12))),
               GridAxis("So", (100.0, 300.0))),
@@ -257,16 +257,16 @@ class TestTelemetryNeverPicksThePlan:
     and cache calls, with the same points, on every route."""
 
     @pytest.mark.parametrize("route", [
-        "cold-batch", "staged-warm", "pass-by-pass-warm", "serial-executor",
+        "cold-batch", "alltoall-warm", "multiclass-warm", "serial-executor",
     ])
     def test_same_calls_with_and_without_telemetry(
         self, route, tmp_path, dispatch_log, open_schema_evaluator
     ):
         if route == "cold-batch":
             spec, kwargs = _spec(40), {}
-        elif route == "staged-warm":
-            spec, kwargs = _staged_grid(), {"warm_start": True}
-        elif route == "pass-by-pass-warm":
+        elif route == "alltoall-warm":
+            spec, kwargs = _alltoall_grid(), {"warm_start": True}
+        elif route == "multiclass-warm":
             spec, kwargs = _multiclass_grid(), {"warm_start": True}
         else:
             spec = SweepSpec(
@@ -294,7 +294,8 @@ class TestTelemetryNeverPicksThePlan:
         kinds = [e["kind"] for e in log.records]
         assert kinds[0] == "sweep.start" and kinds[-1] == "sweep.finish"
         assert "sweep.chunk" in kinds
-        if route == "pass-by-pass-warm":
+        if route.endswith("-warm"):
+            # Every warm backend takes the one route: a call per pass.
             passes = plain.metadata["warm_start"]["chunks"]
             assert passes > 1
             assert [name for name, _ in plain_calls] == (

@@ -154,13 +154,14 @@ class TestRetiredStreams:
         resolved = resolve_params(evaluator, dict(params, streams=True))
         assert point_key(evaluator, resolved) == key
 
-    def test_cli_scenario(self):
-        # The scenario command raises parameter errors, as it does for
-        # an unknown name (tests/experiments/test_cli.py).
+    def test_cli_scenario(self, capsys):
+        # The scenario command reports parameter errors as `sweep` does:
+        # an `error:` line and exit 2 (tests/experiments/test_cli.py).
         argv = ["scenario", "alltoall", "P=4", "St=40", "So=200", "W=256",
                 "cycles=20", "streams=false", "--backend", "sim"]
-        with pytest.raises(RetiredValueError, match=self.MATCH):
-            main(argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and self.MATCH in err
 
 
 class TestOpenSchema:

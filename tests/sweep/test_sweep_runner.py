@@ -225,14 +225,18 @@ class TestBatchedCacheIO:
     def test_staged_warm_sweep_writes_once(self, tmp_path):
         cache = _SpyCache(tmp_path / "cache.sqlite")
         spec = SweepSpec(
-            name="runner-staged", evaluator="alltoall-model",
+            name="runner-alltoall-warm", evaluator="alltoall-model",
             base={"P": 32, "St": 40.0, "C2": 0.0},
             axes=(GridAxis("W", tuple(np.linspace(2.0, 2048.0, 8))),
                   GridAxis("So", (100.0, 300.0))),
         )
         result = run_sweep(spec, cache=cache, warm_start=True)
-        assert result.metadata["warm_start"]["chunks"] == 1
-        assert cache.calls == [("get_many", 16), ("put_many", 16)]
+        # alltoall-model runs the one warm route: a write per pass.
+        passes = result.metadata["warm_start"]["chunks"]
+        assert passes > 1
+        assert cache.calls[0] == ("get_many", 16)
+        assert [name for name, _ in cache.calls[1:]] == ["put_many"] * passes
+        assert sum(cache.puts()) == 16
 
     def test_pass_by_pass_warm_sweep_writes_once_per_pass(self, tmp_path):
         cache = _SpyCache(tmp_path / "cache.sqlite")
@@ -262,21 +266,25 @@ class TestBatchedCacheIO:
     ):
         import repro.sweep.runner as runner_mod
 
-        calls = []
         real = runner_mod.evaluate_batch_warm
+        specs = (_multiclass_spec(),
+                 _model_spec(works=tuple(np.linspace(2.0, 2048.0, 24))))
+        for spec in specs:
+            calls = []
 
-        def fail_third(name, params_list, seeds, stager=None):
-            calls.append(len(params_list))
-            if len(calls) == 3:
-                raise RuntimeError("interrupted")
-            return real(name, params_list, seeds, stager=stager)
+            def fail_third(name, params_list, seeds):
+                calls.append(len(params_list))
+                if len(calls) == 3:
+                    raise RuntimeError("interrupted")
+                return real(name, params_list, seeds)
 
-        monkeypatch.setattr(runner_mod, "evaluate_batch_warm", fail_third)
-        cache = SqliteCache(tmp_path / "cache.sqlite")
-        spec = _multiclass_spec()
-        with pytest.raises(RuntimeError, match="interrupted"):
-            run_sweep(spec, cache=cache, warm_start=True)
-        assert len(cache) == calls[0] + calls[1]
-        monkeypatch.setattr(runner_mod, "evaluate_batch_warm", real)
-        resumed = run_sweep(spec, cache=cache)
-        assert resumed.metadata["cache_hits"] == calls[0] + calls[1]
+            monkeypatch.setattr(runner_mod, "evaluate_batch_warm",
+                                fail_third)
+            cache = SqliteCache(tmp_path / f"{spec.evaluator}.sqlite")
+            with pytest.raises(RuntimeError, match="interrupted"):
+                run_sweep(spec, cache=cache, warm_start=True)
+            assert len(cache) == calls[0] + calls[1], spec.evaluator
+            monkeypatch.setattr(runner_mod, "evaluate_batch_warm", real)
+            resumed = run_sweep(spec, cache=cache)
+            assert (resumed.metadata["cache_hits"]
+                    == calls[0] + calls[1]), spec.evaluator

@@ -24,7 +24,8 @@ from repro.sweep import (
     register_evaluator,
     run_sweep,
 )
-from repro.sweep.runner import _WARM_GUARD, _column_seeds, _WarmScheduler
+from repro.sweep import runner
+from repro.sweep.runner import _WARM_GUARD, _lagrange_seeds, _WarmScheduler
 
 _BASE = {"P": 32, "St": 40.0, "So": 200.0, "C2": 0.0}
 
@@ -63,13 +64,6 @@ class TestWarmRegistry:
                 "warm-without-batch", warm=lambda ps, seeds: ([], [])
             )(lambda p: {})
         assert "warm-without-batch" not in _BACKENDS
-
-    def test_staged_requires_warm_companion(self):
-        with pytest.raises(ValueError, match="staged"):
-            register_evaluator(
-                "staged-without-warm", batch=lambda ps: [], staged=True
-            )(lambda p: {})
-        assert "staged-without-warm" not in _BACKENDS
 
     def test_every_builtin_backend_is_its_table_entry(self):
         from repro.api.scenarios import SCENARIO_CLASSES
@@ -262,17 +256,16 @@ class TestWarmTelemetry:
 
 class TestScheduler:
     def test_interpolation_reproduces_polynomials(self):
-        donors = [
-            (x, np.array([x**2 + 20.0, 2.0 * x + 10.0]))
-            for x in (1.0, 2.0, 3.0, 4.0)
-        ]
-        out = _column_seeds(donors, np.array([2.5, 3.5]))
+        xs = np.array([1.0, 2.0, 3.0, 4.0])
+        states = np.array([[[x**2 + 20.0, 2.0 * x + 10.0] for x in xs]])
+        (out,) = _lagrange_seeds(xs, states, np.array([2.5, 3.5]))
         assert out[0] == pytest.approx([26.25, 15.0])
         assert out[1] == pytest.approx([32.25, 17.0])
 
     def test_target_on_a_donor_returns_that_donor(self):
-        donors = [(x, np.array([x, 10.0 * x])) for x in (1.0, 2.0, 3.0)]
-        out = _column_seeds(donors, np.array([2.0]))
+        xs = np.array([1.0, 2.0, 3.0])
+        states = np.array([[[x, 10.0 * x] for x in xs]])
+        (out,) = _lagrange_seeds(xs, states, np.array([2.0]))
         assert out[0] == pytest.approx([2.0, 20.0])
 
     def test_misses_ordered_coarse_to_fine(self):
@@ -353,82 +346,48 @@ class TestScheduler:
         assert np.array_equal(seed, [7.0, 8.0, 9.0])
 
 
-class TestStagedPipeline:
-    """The staged single-call dispatch for staging-capable evaluators."""
+_DENSE_W = GridAxis("W", tuple(np.linspace(2.0, 2048.0, 24)))
+_PASS_GRIDS = {
+    "alltoall-model": (_BASE, _DENSE_W),
+    "sharedmem-model": (_BASE, _DENSE_W),
+    "workpile-model": (
+        {"St": 40.0, "So": 200.0, "C2": 0.0, "P": 64, "W": 5000.0},
+        GridAxis("Ps", tuple(range(2, 18))),
+    ),
+    "multiclass-mva": (
+        {"N0": 6, "N1": 3, "Z0": 0.0, "Z1": 8.0, "D0_1": 1.0, "D1_0": 2.0,
+         "D1_1": 1.5, "method": "schweitzer"},
+        GridAxis("D0_0", tuple(np.linspace(0.5, 6.0, 20))),
+    ),
+}
 
-    def test_staging_capability_registry(self):
-        staged = sorted(name for name, (_, backend) in _BACKENDS.items()
-                        if backend.staged)
-        # The multi-class and workpile kernels run their own masked
-        # loops, so their warm companions stay pass-by-pass.
-        assert staged == ["alltoall-model", "sharedmem-model"]
-        with pytest.raises(KeyError, match="bogus"):
-            get_backend("bogus")
 
-    def test_stager_rejected_for_unstaged_evaluator(self):
-        with pytest.raises(ValueError, match="staged"):
-            evaluate_batch_warm(
-                "workpile-model",
-                [{"St": 40.0, "So": 200.0, "C2": 0.0, "P": 64,
-                  "W": 5000.0, "Ps": 4}],
-                [None],
-                stager=object(),
-            )
+class TestOneWarmRoute:
+    """Every warm companion runs one dispatch per refinement pass."""
 
-    def test_scheduler_declines_to_stage_without_refinement(self):
-        # A single numeric point has one pass; a categorical axis has
-        # no numeric refinement at all.  Both fall back to the
-        # pass-by-pass loop.
-        spec = _alltoall_spec(works=(64.0,))
-        scheduler = _WarmScheduler(spec, [(0, None, dict(_BASE, W=64.0))])
-        assert scheduler.stager() is None
-        cat = SweepSpec(name="warm-cat", evaluator="alltoall-model",
-                        base=_BASE, axes=(GridAxis("W", ("lo", "hi")),))
-        misses = [(i, None, dict(_BASE, W=w)) for i, w in
-                  enumerate(("lo", "hi"))]
-        assert _WarmScheduler(cat, misses).stager() is None
+    @pytest.mark.parametrize("evaluator", sorted(_PASS_GRIDS))
+    def test_one_dispatch_per_pass_matches_cold(self, evaluator,
+                                                monkeypatch):
+        base, axis = _PASS_GRIDS[evaluator]
+        spec = SweepSpec(name=f"warm-pass-{evaluator}", evaluator=evaluator,
+                         base=base, axes=(axis,))
+        schedulers, calls = [], []
 
-    def test_staged_sweep_dispatches_once_and_matches_cold(self):
-        spec = SweepSpec(
-            name="warm-staged", evaluator="alltoall-model",
-            base={"P": 32, "St": 40.0, "C2": 0.0},
-            axes=(GridAxis("W", tuple(np.linspace(2.0, 2048.0, 8))),
-                  GridAxis("So", (100.0, 300.0))),
-        )
-        cold = _columns(run_sweep(spec))
+        class Recording(_WarmScheduler):
+            def __init__(self, *args):
+                super().__init__(*args)
+                schedulers.append(self)
+
+        def spy(name, params_list, seeds):
+            calls.append(len(params_list))
+            return evaluate_batch_warm(name, params_list, seeds)
+
+        monkeypatch.setattr(runner, "_WarmScheduler", Recording)
+        monkeypatch.setattr(runner, "evaluate_batch_warm", spy)
         warm_result = run_sweep(spec, warm_start=True)
+        (scheduler,) = schedulers
+        assert len(scheduler.boundaries) > 1
+        assert calls == [hi - lo for lo, hi in scheduler.boundaries]
+        assert warm_result.metadata["warm_start"]["chunks"] == len(calls)
+        cold = _columns(run_sweep(spec))
         assert np.allclose(_columns(warm_result), cold, rtol=1e-8, atol=1e-8)
-        stats = warm_result.metadata["warm_start"]
-        assert stats["chunks"] == 1
-        assert stats["chunk_seeded"] == [stats["seeded"]]
-        assert stats["seeded"] + stats["cold"] == 16
-        assert stats["seeded"] > 0
-
-    def test_unstaged_evaluator_keeps_chunked_dispatch(self):
-        spec = SweepSpec(
-            name="warm-wp-chunked", evaluator="workpile-model",
-            base={"St": 40.0, "So": 200.0, "C2": 0.0, "P": 64, "W": 5000.0},
-            axes=(GridAxis("Ps", tuple(range(2, 10))),),
-        )
-        result = run_sweep(spec, warm_start=True)
-        assert result.metadata["warm_start"]["chunks"] > 1
-
-    def test_staged_telemetry_counts_from_activation(self):
-        # Staged iteration counts are relative to each point's
-        # activation step, so the warm/cold split and iteration stats
-        # stay comparable with the pass-by-pass path.
-        spec = _alltoall_spec(works=tuple(np.linspace(2.0, 2048.0, 20)))
-        registry = MetricsRegistry()
-        result = run_sweep(spec, warm_start=True, metrics=registry)
-        stats = registry.as_dict()["stats"]
-        meta = result.metadata["warm_start"]
-        assert meta["chunks"] == 1
-        assert (stats["solver.fixed_point_batch.warm_iterations"]["count"]
-                == meta["seeded"])
-        assert (stats["solver.fixed_point_batch.cold_iterations"]["count"]
-                == meta["cold"])
-        cold_reg = MetricsRegistry()
-        run_sweep(spec, metrics=cold_reg)
-        key = "solver.fixed_point_batch.iterations"
-        assert (stats[key]["mean"]
-                < cold_reg.as_dict()["stats"][key]["mean"])
