@@ -389,6 +389,18 @@ class Scenario:
         return None
 
     @classmethod
+    def param_entry(cls, name: str) -> Param | ParamFamily:
+        """The schema entry governing ``name``; a ValueError listing the
+        known parameters when there is none."""
+        entry = cls.find_param(name)
+        if entry is None:
+            raise ValueError(
+                f"unknown parameter {name!r} for scenario {cls.name!r}; "
+                f"known: {', '.join(cls.param_names())}"
+            )
+        return entry
+
+    @classmethod
     def accepts(cls, name: str) -> bool:
         """True when ``name`` is a declared parameter of this scenario."""
         return cls.find_param(name) is not None
@@ -433,13 +445,7 @@ class Scenario:
     @classmethod
     def parse_value(cls, name: str, text: str) -> object:
         """Parse a CLI ``KEY=VALUE`` string by the schema's declared type."""
-        entry = cls.find_param(name)
-        if entry is None:
-            raise ValueError(
-                f"unknown parameter {name!r} for scenario {cls.name!r}; "
-                f"known: {', '.join(cls.param_names())}"
-            )
-        kind = entry.type
+        kind = cls.param_entry(name).type
         if kind is bool:
             lowered = text.strip().lower()
             if lowered in ("true", "1", "yes", "on"):
@@ -497,12 +503,7 @@ class Scenario:
 
     @classmethod
     def _check_value(cls, name: str, value: object) -> object:
-        entry = cls.find_param(name)
-        if entry is None:
-            raise ValueError(
-                f"unknown parameter {name!r} for scenario {cls.name!r}; "
-                f"known: {', '.join(cls.param_names())}"
-            )
+        entry = cls.param_entry(name)
         if isinstance(value, np.generic):
             value = value.item()
         if value is None:

@@ -62,13 +62,12 @@ experiments).
 (``minimize=COL`` / ``maximize=COL`` / ``knee=COL``), a search box
 (``over.NAME=LO:HI``, repeatable), optional ``--subject-to`` constraints,
 and fixed parameters as ``KEY=VALUE``.  Each optimizer iteration is one
-batched solve; exit code 1 means no feasible point was found.
+batched solve.  ``query`` takes the same tokens.
 
 ``fuzz`` runs a property-based campaign (:mod:`repro.fuzz`): thousands
 of seeded random networks through the batch kernels with bulk invariant
 checks, a sampled simulation cross-check, shrinking of failures to
 minimal params, and an optional JSON report / repro-case corpus for CI.
-Exit code 1 means at least one invariant violated.
 
 ``serve`` starts the long-lived query/sweep service
 (:mod:`repro.serve`, wire protocol ``lopc-serve/1``); ``submit`` /
@@ -77,23 +76,28 @@ Exit code 1 means at least one invariant violated.
 sqlite|files`` (a ``*.sqlite`` path implies sqlite), and ``cache
 migrate SRC DST`` converts a cache between the two backends with
 byte-exact verification.
+
+Exit codes are the same for every command: 0 on success; 1 for a
+failed shape check, an infeasible ``optimize`` or inverse ``query``, a
+``fuzz`` violation, or a server refusal (a refused or timed-out request,
+a failed job); 2 for a usage error -- a malformed command line, an
+unknown name or parameter, a mistyped value, an unreadable or invalid
+spec -- reported as ``error: ...`` before any work or connection.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
-from repro.experiments import (
-    format_table,
-    get_experiment,
-    list_experiments,
-)
-from repro.experiments.common import ExperimentResult, to_csv
+from repro.experiments import format_table, get_experiment, list_experiments
+from repro.experiments.common import to_csv
 
 __all__ = ["main"]
 
@@ -106,11 +110,11 @@ _FAST_OVERRIDES: dict[str, dict[str, object]] = {
 }
 
 
-def _write_outputs(result: ExperimentResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = result.experiment_id.replace(".", "_")
-    (out_dir / f"{stem}.txt").write_text(format_table(result) + "\n")
-    (out_dir / f"{stem}.csv").write_text(to_csv(result))
+def _export(out: Path | None, name: str, text: str) -> None:
+    """Write ``text`` to ``out/name`` when ``--out`` was given."""
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
 
 
 #: Chartable experiments and their series (figure-shaped results only).
@@ -121,6 +125,30 @@ _CHARTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "fig-5.3": ("W", ("total model", "total sim")),
     "fig-6.2": ("Ps", ("simulator X", "LoPC X")),
 }
+
+
+class _UsageError(Exception):
+    """A command-line mistake; :func:`main` reports it and exits 2.
+
+    ``usage=True`` marks a malformed command line, reported by argparse
+    with the usage line; any other is one ``error: ...`` line.
+    """
+
+    def __init__(self, message: object, usage: bool = False) -> None:
+        super().__init__(message)
+        self.usage = usage
+
+
+@contextmanager
+def _bad_input(source: object = None):
+    """Turn a failed name, parameter or spec check into a usage error."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, OSError) as exc:
+        # A KeyError's str() would quote its message.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        prefix = "" if source is None else f"{source}: "
+        raise _UsageError(f"{prefix}{message}") from exc
 
 
 def _experiment_kwargs(
@@ -134,14 +162,14 @@ def _experiment_kwargs(
     experiments keep their minimal signatures.
     """
     kwargs: dict[str, object] = {}
-    if getattr(args, "fast", False):
+    if args.fast:
         kwargs.update(_FAST_OVERRIDES.get(experiment_id, {}))
     accepted = inspect.signature(get_experiment(experiment_id)).parameters
-    if getattr(args, "jobs", None) is not None and "jobs" in accepted:
+    if args.jobs is not None and "jobs" in accepted:
         kwargs["jobs"] = args.jobs
-    if getattr(args, "seed", None) is not None and "seed" in accepted:
+    if args.seed is not None and "seed" in accepted:
         kwargs["seed"] = args.seed
-    if getattr(args, "cache_dir", None) is not None and "cache" in accepted:
+    if args.cache_dir is not None and "cache" in accepted:
         kwargs["cache"] = _cache_from_args(args)
     return kwargs
 
@@ -151,8 +179,9 @@ def _run_one(experiment_id: str, args: argparse.Namespace) -> bool:
     start = time.perf_counter()
     result = get_experiment(experiment_id)(**kwargs)
     elapsed = time.perf_counter() - start
-    print(format_table(result))
-    if getattr(args, "chart", False) and experiment_id in _CHARTS:
+    table = format_table(result)
+    print(table)
+    if args.chart and experiment_id in _CHARTS:
         from repro.experiments.charts import chart_experiment
 
         x_col, series = _CHARTS[experiment_id]
@@ -160,19 +189,39 @@ def _run_one(experiment_id: str, args: argparse.Namespace) -> bool:
         print(chart_experiment(result, x_column=x_col,
                                series_columns=list(series) or None))
     print(f"\n({experiment_id} completed in {elapsed:.1f}s)\n")
-    if args.out is not None:
-        _write_outputs(result, args.out)
+    stem = result.experiment_id.replace(".", "_")
+    _export(args.out, f"{stem}.txt", table + "\n")
+    _export(args.out, f"{stem}.csv", to_csv(result))
     return result.all_checks_passed
+
+
+def _run_list(args: argparse.Namespace) -> int:
+    for experiment_id in list_experiments():
+        print(experiment_id)
+    return 0
+
+
+def _run_experiment(args: argparse.Namespace) -> int:
+    with _bad_input():
+        get_experiment(args.experiment)
+    return 0 if _run_one(args.experiment, args) else 1
+
+
+def _run_all(args: argparse.Namespace) -> int:
+    all_ok = True
+    for experiment_id in list_experiments():
+        all_ok &= _run_one(experiment_id, args)
+    print("all shape checks passed" if all_ok else "SOME SHAPE CHECKS FAILED")
+    return 0 if all_ok else 1
 
 
 def _cache_from_args(args: argparse.Namespace):
     """``--cache-dir``/``--cache-backend`` as one cache backend (or None)."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is None:
+    if args.cache_dir is None:
         return None
     from repro.sweep.cache import coerce_cache
 
-    return coerce_cache(cache_dir, getattr(args, "cache_backend", None))
+    return coerce_cache(args.cache_dir, args.cache_backend)
 
 
 def _telemetry_kwargs(args: argparse.Namespace) -> dict[str, object]:
@@ -180,11 +229,11 @@ def _telemetry_kwargs(args: argparse.Namespace) -> dict[str, object]:
     from repro.obs import ConsoleProgress
 
     kwargs: dict[str, object] = {}
-    if getattr(args, "metrics", None) is not None:
+    if args.metrics is not None:
         kwargs["metrics"] = True
-    if getattr(args, "progress", False):
+    if args.progress:
         kwargs["progress"] = ConsoleProgress()
-    if getattr(args, "events", None) is not None:
+    if args.events is not None:
         kwargs["events"] = args.events
     return kwargs
 
@@ -215,73 +264,145 @@ def _sweep_metrics_payload(result) -> dict:
     return payload
 
 
-def _param_error(exc: Exception, source: object = None) -> int:
-    """Report a failed parameter check as ``error: ...``; returns 2."""
-    # A KeyError's str() would quote its message.
-    message = exc.args[0] if isinstance(exc, KeyError) else exc
-    prefix = "" if source is None else f"{source}: "
-    print(f"error: {prefix}{message}", file=sys.stderr)
-    return 2
+def _load_spec(args: argparse.Namespace):
+    """``sweep``/``submit``: the spec file, with ``--seed`` applied."""
+    from repro.sweep import SweepSpec
+
+    with _bad_input(args.spec):
+        spec = SweepSpec.from_file(args.spec)
+    return spec if args.seed is None else spec.with_seed(args.seed)
+
+
+def _scenario_class(name: str):
+    from repro.api import get_scenario_class
+
+    with _bad_input():
+        return get_scenario_class(name)
+
+
+def _parse_tokens(args: argparse.Namespace, tokens: list[str],
+                  inverse: bool | None):
+    """The token grammar of ``scenario``, ``optimize`` and ``query``.
+
+    ``KEY=VALUE`` tokens bind the scenario named by ``args.name``; with
+    ``inverse`` True (required) or None (optional), ``minimize=COL`` /
+    ``maximize=COL`` / ``knee=COL`` name the objective and
+    ``over.NAME=LO:HI`` tokens the search box.  Returns ``(scenario,
+    objective, over)``; any mistake is a :class:`_UsageError`.
+    """
+    cls = _scenario_class(args.name)
+    mode: dict[str, str] = {}
+    over: dict[str, tuple[object, object]] = {}
+    params: dict[str, object] = {}
+    with _bad_input():
+        for item in tokens:
+            key, sep, text = item.partition("=")
+            if not sep:
+                raise _UsageError(f"{args.command} arguments are KEY=VALUE, "
+                                  f"got {item!r}", usage=True)
+            if inverse is False:
+                params[key] = cls.parse_value(key, text)
+            elif key in ("minimize", "maximize", "knee"):
+                mode[key] = text
+            elif key.startswith("over."):
+                axis = key[len("over."):]
+                lo_text, sep, hi_text = text.partition(":")
+                if not sep:
+                    raise _UsageError(f"over.{axis} takes LO:HI (a search "
+                                      f"range), got {item!r}", usage=True)
+                over[axis] = (cls.parse_value(axis, lo_text),
+                              cls.parse_value(axis, hi_text))
+            else:
+                params[key] = cls.parse_value(key, text)
+        if len(mode) > 1 or (not mode and (inverse or over)):
+            raise _UsageError("pass exactly one objective: minimize=COL, "
+                              "maximize=COL or knee=COL", usage=True)
+        if mode and not over:
+            raise _UsageError(f"{args.command} needs at least one search "
+                              "axis: over.NAME=LO:HI", usage=True)
+        return cls(**params), mode, over
+
+
+def _print_solution(solution, params: bool = False) -> None:
+    """A Solution: header, the bound parameters if asked, the columns."""
+    print(f"scenario {solution.scenario} / {solution.backend} "
+          f"(evaluator {solution.evaluator})"
+          + ("  [cached]" if solution.meta.get("cached") else ""))
+    if params:
+        print("params: " + ", ".join(
+            f"{k}={v}" for k, v in sorted(solution.params.items())))
+    width = max(len(c) for c in solution.columns)
+    for column in solution.columns:
+        value = solution.values[column]
+        rendered = f"{value:.6f}" if isinstance(value, float) else str(value)
+        print(f"  {column:<{width}}  {rendered}")
+
+
+def _print_opt_result(result) -> int:
+    """An OptResult; returns the exit code (1 when nothing is feasible)."""
+    print(f"scenario {result.scenario} / {result.backend} "
+          f"(evaluator {result.evaluator})")
+    print(result.summary())
+    if result.constraints:
+        print("subject to: " + "; ".join(result.constraints))
+    if not result.feasible:
+        print("no feasible point in the search box")
+        return 1
+    width = max(len(c) for c in result.best_values)
+    for column in sorted(result.best_values):
+        print(f"  {column:<{width}}  {result.best_values[column]:.6f}")
+    return 0
+
+
+def _print_sweep_result(result, out: Path | None,
+                        stem: str | None = None) -> None:
+    """A SweepResult: table and summary, plus ``<stem>.csv`` in ``out``."""
+    print(format_table(result.to_experiment_result()))
+    print(f"\n({result.spec_name}: {result.summary()})\n")
+    stem = stem or result.spec_name.replace(".", "_").replace("/", "_")
+    _export(out, f"{stem}.csv", result.to_csv())
 
 
 def _run_sweep_file(args: argparse.Namespace) -> int:
-    from repro.sweep import SweepSpec, run_sweep
+    from repro.sweep import run_sweep
     from repro.sweep.runner import check_spec
 
-    spec = SweepSpec.from_file(args.spec)
-    if args.seed is not None:
-        spec = spec.with_seed(args.seed)
-    try:
+    spec = _load_spec(args)
+    with _bad_input(args.spec):
         check_spec(spec)
-    except (KeyError, ValueError, TypeError) as exc:
-        return _param_error(exc, args.spec)
     result = run_sweep(spec, cache=_cache_from_args(args),
                        jobs=args.jobs if args.jobs is not None else 1,
                        warm_start=args.warm_start,
                        **_telemetry_kwargs(args))
-    print(format_table(result.to_experiment_result()))
-    print(f"\n({spec.name}: {result.summary()})\n")
+    _print_sweep_result(result, args.out)
     if args.metrics is not None:
         _write_metrics(args.metrics, _sweep_metrics_payload(result))
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        stem = spec.name.replace(".", "_").replace("/", "_")
-        (args.out / f"{stem}.csv").write_text(result.to_csv())
     return 0
 
 
-def _run_scenario(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> int:
-    from repro.api import get_scenario_class, list_scenarios
+def _run_scenario(args: argparse.Namespace) -> int:
+    from repro.api import list_scenarios
 
-    if args.list or args.name is None:
+    cls = _scenario_class(args.name) if args.name is not None else None
+    if args.list or cls is None:
         for name in list_scenarios():
-            cls = get_scenario_class(name)
-            print(f"{name:<12} {cls.title}")
+            print(f"{name:<12} {_scenario_class(name).title}")
         return 0
-    cls = get_scenario_class(args.name)
     if args.describe:
         print(cls.describe())
         return 0
 
     from repro.sweep import GridAxis
 
-    params: dict[str, object] = {}
+    sc = _parse_tokens(args, args.params, inverse=False)[0]
     axes: dict[str, object] = {}
-    # Parameter errors end as a usage error before any work, as in `sweep`.
-    try:
-        for item in args.params:
-            key, sep, text = item.partition("=")
-            if not sep:
-                parser.error(
-                    f"scenario parameters are KEY=VALUE, got {item!r}"
-                )
-            params[key] = cls.parse_value(key, text)
-        sc = cls(**params)
+    with _bad_input():
         for item in args.sweep or ():
             key, sep, text = item.partition("=")
             if not sep:
-                parser.error(f"--sweep takes KEY=V1,V2,..., got {item!r}")
+                raise _UsageError(
+                    f"--sweep takes KEY=V1,V2,..., got {item!r}", usage=True
+                )
             # Axis instances under a mangled keyword, so a swept `seed`
             # cannot collide with study()'s spec-level seed argument.
             axes[f"sweep_{key}"] = GridAxis(
@@ -290,17 +411,14 @@ def _run_scenario(args: argparse.Namespace,
             if key == "seed" and args.seed is not None:
                 # The spec-level seed would derive one per-point seed and
                 # clobber every swept value with it.
-                parser.error(
+                raise _UsageError(
                     "--seed derives per-point seeds and cannot be combined "
-                    "with --sweep seed=...; drop one of the two"
+                    "with --sweep seed=...; drop one of the two", usage=True
                 )
-    except (KeyError, ValueError, TypeError) as exc:
-        return _param_error(exc)
-
     if args.warm_start and not axes:
-        parser.error(
+        raise _UsageError(
             "--warm-start seeds solves from neighbouring sweep points; "
-            "it needs at least one --sweep axis"
+            "it needs at least one --sweep axis", usage=True
         )
 
     if axes:
@@ -309,14 +427,9 @@ def _run_scenario(args: argparse.Namespace,
                          **axes)
         result = study.run(args.backend, warm_start=args.warm_start,
                            **_telemetry_kwargs(args))
-        print(format_table(result.to_experiment_result()))
-        print(f"\n({result.spec_name}: {result.summary()})\n")
+        _print_sweep_result(result, args.out, f"{args.name}_{args.backend}")
         if args.metrics is not None:
             _write_metrics(args.metrics, _sweep_metrics_payload(result))
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            stem = f"{args.name}_{args.backend}"
-            (args.out / f"{stem}.csv").write_text(result.to_csv())
         return 0
 
     solve = {"analytic": sc.analytic, "bounds": sc.bounds,
@@ -335,58 +448,15 @@ def _run_scenario(args: argparse.Namespace,
             })
     else:
         solution = solve()
-    print(f"scenario {solution.scenario} / {solution.backend} "
-          f"(evaluator {solution.evaluator})")
-    print("params: " + ", ".join(
-        f"{k}={v}" for k, v in sorted(solution.params.items())))
-    width = max(len(c) for c in solution.columns)
-    for column in solution.columns:
-        value = solution.values[column]
-        rendered = f"{value:.6f}" if isinstance(value, float) else str(value)
-        print(f"  {column:<{width}}  {rendered}")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"{args.name}_{args.backend}.json"
-        path.write_text(solution.to_json() + "\n")
+    _print_solution(solution, params=True)
+    _export(args.out, f"{args.name}_{args.backend}.json",
+            solution.to_json() + "\n")
     return 0
 
 
-def _run_optimize(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> int:
+def _run_optimize(args: argparse.Namespace) -> int:
     """``optimize``: the CLI face of ``scenario(...).optimize(...)``."""
-    from repro.api import get_scenario_class
-
-    cls = get_scenario_class(args.name)
-    mode: dict[str, str] = {}
-    over: dict[str, tuple[object, object]] = {}
-    params: dict[str, object] = {}
-    for item in args.tokens:
-        key, sep, text = item.partition("=")
-        if not sep:
-            parser.error(f"optimize arguments are KEY=VALUE, got {item!r}")
-        if key in ("minimize", "maximize", "knee"):
-            mode[key] = text
-        elif key.startswith("over."):
-            axis = key[len("over."):]
-            lo_text, sep2, hi_text = text.partition(":")
-            if not sep2:
-                parser.error(
-                    f"over.{axis} takes LO:HI (a search range), got {item!r}"
-                )
-            over[axis] = (cls.parse_value(axis, lo_text),
-                          cls.parse_value(axis, hi_text))
-        else:
-            params[key] = cls.parse_value(key, text)
-    if len(mode) != 1:
-        parser.error(
-            "pass exactly one objective: minimize=COL, maximize=COL "
-            "or knee=COL"
-        )
-    if not over:
-        parser.error(
-            "optimize needs at least one search axis: over.NAME=LO:HI"
-        )
-    sc = cls(**params)
+    sc, mode, over = _parse_tokens(args, args.tokens, inverse=True)
     result = sc.optimize(
         **mode,
         over=over,
@@ -397,28 +467,15 @@ def _run_optimize(args: argparse.Namespace,
         metrics=args.metrics is not None,
         events=args.events,
     )
-    print(f"scenario {result.scenario} / {result.backend} "
-          f"(evaluator {result.evaluator})")
-    print(result.summary())
-    if result.constraints:
-        print("subject to: " + "; ".join(result.constraints))
-    if result.feasible:
-        width = max(len(c) for c in result.best_values)
-        for column in sorted(result.best_values):
-            print(f"  {column:<{width}}  {result.best_values[column]:.6f}")
-    else:
-        print("no feasible point in the search box")
+    code = _print_opt_result(result)
     if args.metrics is not None:
         _write_metrics(args.metrics, {
             "scenario": result.scenario,
             "backend": result.backend,
             "metrics": result.meta.get("telemetry"),
         })
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"{args.name}_optimize.json"
-        path.write_text(result.to_json() + "\n")
-    return 0 if result.feasible else 1
+    _export(args.out, f"{args.name}_optimize.json", result.to_json() + "\n")
+    return code
 
 
 def _run_fuzz(args: argparse.Namespace) -> int:
@@ -495,34 +552,39 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _client_verb(handler):
+    """A client verb: a refused or timed-out request is exit code 1."""
+
+    @functools.wraps(handler)
+    def run(args: argparse.Namespace) -> int:
+        from repro.serve import ServeError
+
+        try:
+            return handler(args)
+        except (ServeError, TimeoutError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+    return run
+
+
 def _serve_client(args: argparse.Namespace):
     from repro.serve import Client
 
-    return Client(args.url, timeout=args.timeout)
+    with _bad_input("--url"):
+        return Client(args.url, timeout=args.timeout)
 
 
-def _print_sweep_result(result, out: Path | None, stem: str) -> None:
-    print(format_table(result.to_experiment_result()))
-    print(f"\n({result.spec_name}: {result.summary()})\n")
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{stem}.csv").write_text(result.to_csv())
-
-
+@_client_verb
 def _run_submit(args: argparse.Namespace) -> int:
     """``submit``: send a sweep spec to a server; prints the job id."""
-    from repro.sweep import SweepSpec
-
-    spec = SweepSpec.from_file(args.spec)
-    if args.seed is not None:
-        spec = spec.with_seed(args.seed)
+    spec = _load_spec(args)
     client = _serve_client(args)
     job_id = client.submit(spec, warm_start=args.warm_start)
     print(job_id)
     if args.wait:
-        result = client.wait(job_id, timeout=args.timeout)
-        stem = spec.name.replace(".", "_").replace("/", "_")
-        _print_sweep_result(result, args.out, stem)
+        _print_sweep_result(client.wait(job_id, timeout=args.timeout),
+                            args.out)
     return 0
 
 
@@ -538,6 +600,7 @@ def _print_job_status(status: dict) -> None:
     print(line)
 
 
+@_client_verb
 def _run_status(args: argparse.Namespace) -> int:
     """``status``: one job (with event stream) or all jobs."""
     client = _serve_client(args)
@@ -563,6 +626,7 @@ def _run_status(args: argparse.Namespace) -> int:
     return 1 if status["state"] == "error" else 0
 
 
+@_client_verb
 def _run_fetch(args: argparse.Namespace) -> int:
     """``fetch``: download a finished job's SweepResult and render it."""
     client = _serve_client(args)
@@ -570,98 +634,43 @@ def _run_fetch(args: argparse.Namespace) -> int:
         result = client.wait(args.job, timeout=args.timeout)
     else:
         result = client.result(args.job)
-    stem = result.spec_name.replace(".", "_").replace("/", "_")
-    _print_sweep_result(result, args.out, stem)
+    _print_sweep_result(result, args.out)
     return 0
 
 
-def _run_query(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
+@_client_verb
+def _run_query(args: argparse.Namespace) -> int:
     """``query``: point or inverse query against a server.
 
     Plain ``KEY=VALUE`` tokens make a point query (one Solution);
     ``minimize=``/``maximize=``/``knee=`` plus ``over.NAME=LO:HI``
     tokens make it an optimize query (one OptResult) -- the same token
-    grammar as the in-process ``optimize`` subcommand.
+    grammar as the in-process ``optimize`` subcommand, checked before
+    any connection is made.
     """
-    from repro.api import get_scenario_class
-
-    cls = get_scenario_class(args.name)
-    mode: dict[str, str] = {}
-    over: dict[str, tuple[object, object]] = {}
-    params: dict[str, object] = {}
-    for item in args.tokens:
-        key, sep, text = item.partition("=")
-        if not sep:
-            parser.error(f"query arguments are KEY=VALUE, got {item!r}")
-        if key in ("minimize", "maximize", "knee"):
-            mode[key] = text
-        elif key.startswith("over."):
-            axis = key[len("over."):]
-            lo_text, sep2, hi_text = text.partition(":")
-            if not sep2:
-                parser.error(
-                    f"over.{axis} takes LO:HI (a search range), got {item!r}"
-                )
-            over[axis] = (cls.parse_value(axis, lo_text),
-                          cls.parse_value(axis, hi_text))
-        else:
-            params[key] = cls.parse_value(key, text)
-    if len(mode) > 1:
-        parser.error("pass at most one of minimize=/maximize=/knee=")
-    if bool(mode) != bool(over):
-        if mode:
-            parser.error("an inverse query needs a search axis: "
-                         "over.NAME=LO:HI")
-        parser.error("over.NAME=LO:HI needs an objective: minimize=COL, "
-                     "maximize=COL or knee=COL")
+    sc, mode, over = _parse_tokens(args, args.tokens, inverse=None)
     client = _serve_client(args)
-
     if mode:
-        result = client.optimize(
-            args.name, params, **mode, over=over,
+        return _print_opt_result(client.optimize(
+            args.name, sc.params, **mode, over=over,
             subject_to=args.subject_to or None, backend=args.backend,
-        )
-        print(f"scenario {result.scenario} / {result.backend} "
-              f"(evaluator {result.evaluator})")
-        print(result.summary())
-        if result.feasible:
-            width = max(len(c) for c in result.best_values)
-            for column in sorted(result.best_values):
-                print(f"  {column:<{width}}  "
-                      f"{result.best_values[column]:.6f}")
-        else:
-            print("no feasible point in the search box")
-        return 0 if result.feasible else 1
-
-    solution = client.point(scenario=args.name, backend=args.backend,
-                            **params)
-    print(f"scenario {solution.scenario} / {solution.backend} "
-          f"(evaluator {solution.evaluator})"
-          + ("  [cached]" if solution.meta.get("cached") else ""))
-    width = max(len(c) for c in solution.columns)
-    for column in solution.columns:
-        value = solution.values[column]
-        rendered = f"{value:.6f}" if isinstance(value, float) else str(value)
-        print(f"  {column:<{width}}  {rendered}")
+        ))
+    _print_solution(client.point(scenario=args.name, backend=args.backend,
+                                 **sc.params))
     return 0
 
 
-def _run_cache(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
+def _run_cache(args: argparse.Namespace) -> int:
     """``cache migrate``: verified conversion between cache backends."""
-    if args.cache_command == "migrate":
-        from repro.serve import migrate_cache
+    from repro.serve import migrate_cache
 
-        report = migrate_cache(
-            args.src, args.dst,
-            source_backend=args.src_backend,
-            destination_backend=args.dst_backend,
-        )
-        print(report.summary())
-        return 0
-    parser.error(f"unknown cache command {args.cache_command!r}")
-    return 2  # pragma: no cover
+    report = migrate_cache(
+        args.src, args.dst,
+        source_backend=args.src_backend,
+        destination_backend=args.dst_backend,
+    )
+    print(report.summary())
+    return 0
 
 
 def _render_stats_section(title: str, rows: list[tuple[str, str]]) -> None:
@@ -783,54 +792,49 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metrics", type=Path, default=None, metavar="FILE",
-                        help="record telemetry and write the snapshot as "
-                             "JSON (render it with `lopc-repro stats`)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print live progress lines to stderr")
-    parser.add_argument("--events", type=Path, default=None, metavar="FILE",
-                        help="stream structured JSONL events to FILE")
+#: Flags more than one subcommand takes, declared once; each subcommand
+#: attaches the ones it has by name (``--NAME``).
+_FLAGS: dict[str, dict[str, object]] = {
+    "out": dict(type=Path, default=None, metavar="DIR",
+                help="directory for the exported tables and results"),
+    "fast": dict(action="store_true",
+                 help="smaller simulations (smoke test)"),
+    "chart": dict(action="store_true",
+                  help="render figure experiments as ASCII charts"),
+    "jobs": dict(type=int, default=None, metavar="N",
+                 help="evaluate sweep points on N worker processes "
+                      "(0 = one per CPU)"),
+    "seed": dict(type=int, default=None, metavar="S",
+                 help="seed override: a run's simulation seed, or the "
+                      "spec-level seed deriving per-point seeds"),
+    "cache-dir": dict(type=Path, default=None, metavar="DIR",
+                      help="content-addressed result cache (reuse + resume)"),
+    "cache-backend": dict(default=None, choices=("sqlite", "files"),
+                          help="store for --cache-dir (default: files, or "
+                               "sqlite for *.sqlite paths)"),
+    "warm-start": dict(action="store_true",
+                       help="seed each solve from already-solved "
+                            "neighbours (same results, fewer iterations)"),
+    "metrics": dict(type=Path, default=None, metavar="FILE",
+                    help="record telemetry and write the snapshot as "
+                         "JSON (render it with `lopc-repro stats`)"),
+    "progress": dict(action="store_true",
+                     help="print live progress lines to stderr"),
+    "events": dict(type=Path, default=None, metavar="FILE",
+                   help="stream structured JSONL events to FILE"),
+    "subject-to": dict(action="append", metavar="PRED",
+                       help="inverse-query constraint like 'R <= 1000' "
+                            "(repeatable)"),
+    "url": dict(required=True, metavar="URL",
+                help="server base URL, e.g. http://127.0.0.1:8421"),
+    "timeout": dict(type=float, default=120.0, metavar="SECONDS",
+                    help="request / wait timeout (default: 120)"),
+    "wait": dict(action="store_true",
+                 help="block until the job finishes and print its result"),
+}
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", type=Path, default=None,
-                        help="directory for .txt/.csv outputs")
-    parser.add_argument("--fast", action="store_true",
-                        help="smaller simulations (smoke test)")
-    parser.add_argument("--chart", action="store_true",
-                        help="render figure experiments as ASCII charts")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="evaluate sweep points on N worker processes "
-                             "(0 = one per CPU)")
-    parser.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="override the simulation seed (bit-reproducible "
-                             "runs)")
-    parser.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
-                        help="content-addressed result cache directory "
-                             "(reuse + resume)")
-    _add_cache_backend_option(parser)
-
-
-def _add_cache_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-backend", default=None,
-                        choices=("sqlite", "files"),
-                        help="cache store for --cache-dir: one sqlite "
-                             "database (safe under concurrent writers) or "
-                             "one JSON file per record (default: files, "
-                             "or sqlite for *.sqlite paths)")
-
-
-def _add_client_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--url", required=True, metavar="URL",
-                        help="server base URL, e.g. http://127.0.0.1:8421")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        metavar="SECONDS",
-                        help="request / wait timeout (default: 120)")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lopc-repro",
         description=(
@@ -840,37 +844,34 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
+    def command(name: str, run, help: str, flags: str = ""):
+        """A subcommand calling ``run(args)``, with shared ``flags``."""
+        command_p = sub.add_parser(name, help=help)
+        command_p.set_defaults(run=run)
+        for flag in flags.split():
+            command_p.add_argument(f"--{flag}", **_FLAGS[flag])
+        return command_p
 
-    run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("experiment", help="experiment id (see `list`)")
-    _add_run_options(run_p)
+    command("list", _run_list, "list available experiments")
+    run_flags = "out fast chart jobs seed cache-dir cache-backend"
+    command("run", _run_experiment, "run one experiment",
+            run_flags).add_argument("experiment",
+                                    help="experiment id (see `list`)")
+    command("run-all", _run_all, "run every experiment", run_flags)
 
-    all_p = sub.add_parser("run-all", help="run every experiment")
-    _add_run_options(all_p)
-
-    sweep_p = sub.add_parser(
-        "sweep", help="run a declarative parameter sweep from a JSON spec"
+    sweep_p = command(
+        "sweep", _run_sweep_file,
+        "run a declarative parameter sweep from a JSON spec",
+        "out jobs seed cache-dir cache-backend warm-start metrics "
+        "progress events",
     )
     sweep_p.add_argument("spec", type=Path, help="SweepSpec JSON file")
-    sweep_p.add_argument("--out", type=Path, default=None,
-                         help="directory for the .csv export")
-    sweep_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes (0 = one per CPU)")
-    sweep_p.add_argument("--seed", type=int, default=None, metavar="S",
-                         help="spec-level seed (derives per-point seeds)")
-    sweep_p.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
-                         help="content-addressed result cache directory")
-    _add_cache_backend_option(sweep_p)
-    sweep_p.add_argument("--warm-start", action="store_true",
-                         help="seed each solve from neighbouring sweep "
-                              "points (same results and cache keys, "
-                              "fewer solver iterations)")
-    _add_telemetry_options(sweep_p)
 
-    scenario_p = sub.add_parser(
-        "scenario",
-        help="evaluate a scenario through the fluent facade (repro.api)",
+    scenario_p = command(
+        "scenario", _run_scenario,
+        "evaluate a scenario through the fluent facade (repro.api)",
+        "out jobs seed cache-dir cache-backend warm-start metrics "
+        "progress events",
     )
     scenario_p.add_argument("name", nargs="?", default=None,
                             help="scenario name (see --list)")
@@ -880,39 +881,19 @@ def main(argv: list[str] | None = None) -> int:
     scenario_p.add_argument("--list", action="store_true",
                             help="list registered scenarios and exit")
     scenario_p.add_argument("--describe", action="store_true",
-                            help="print the scenario's parameter schema "
-                                 "and backends")
+                            help="print the parameter schema and backends")
     scenario_p.add_argument("--backend", default="analytic",
                             choices=("analytic", "bounds", "sim"),
-                            help="which backend to evaluate "
-                                 "(default: analytic)")
+                            help="backend to evaluate (default: analytic)")
     scenario_p.add_argument("--sweep", action="append", metavar="KEY=V1,V2",
                             help="sweep an axis (repeatable; axes "
                                  "cross-product into a cached study)")
-    scenario_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                            help="worker processes for study cache misses "
-                                 "(0 = one per CPU)")
-    scenario_p.add_argument("--seed", type=int, default=None, metavar="S",
-                            help="study-level seed (derives per-point "
-                                 "seeds; for a single run pass seed=S as "
-                                 "a parameter)")
-    scenario_p.add_argument("--cache-dir", type=Path, default=None,
-                            metavar="DIR",
-                            help="content-addressed result cache directory")
-    _add_cache_backend_option(scenario_p)
-    scenario_p.add_argument("--warm-start", action="store_true",
-                            help="seed each solve from neighbouring sweep "
-                                 "points (same results and cache keys, "
-                                 "fewer solver iterations)")
-    scenario_p.add_argument("--out", type=Path, default=None,
-                            help="directory for the .csv (study) or "
-                                 ".json (single point) export")
-    _add_telemetry_options(scenario_p)
 
-    optimize_p = sub.add_parser(
-        "optimize",
-        help="answer an inverse query over a scenario (repro.opt): "
-             "minimize/maximize a column or locate a knee",
+    optimize_p = command(
+        "optimize", _run_optimize,
+        "answer an inverse query over a scenario (repro.opt): "
+        "minimize/maximize a column or locate a knee",
+        "out subject-to warm-start metrics events",
     )
     optimize_p.add_argument("name", help="scenario name (see scenario --list)")
     optimize_p.add_argument(
@@ -920,130 +901,88 @@ def main(argv: list[str] | None = None) -> int:
         help="minimize=COL | maximize=COL | knee=COL, search axes as "
              "over.NAME=LO:HI (repeatable), fixed parameters as KEY=VALUE",
     )
-    optimize_p.add_argument("--subject-to", action="append", metavar="PRED",
-                            help="constraint like 'R <= 1000' (repeatable)")
     optimize_p.add_argument("--backend", default="analytic",
-                            help="backend role to solve with "
-                                 "(default: analytic)")
-    optimize_p.add_argument("--warm-start", action="store_true",
-                            help="seed each batch solve from the nearest "
-                                 "already-solved point")
+                            help="backend role (default: analytic)")
     optimize_p.add_argument("--max-solves", type=int, default=48, metavar="N",
                             help="batch-solve budget (default: 48)")
-    optimize_p.add_argument("--out", type=Path, default=None,
-                            help="directory for the OptResult .json export")
-    optimize_p.add_argument("--metrics", type=Path, default=None,
-                            metavar="FILE",
-                            help="record opt.* telemetry and write the "
-                                 "snapshot as JSON")
-    optimize_p.add_argument("--events", type=Path, default=None,
-                            metavar="FILE",
-                            help="stream opt.step/opt.query events as JSONL")
 
-    stats_p = sub.add_parser(
-        "stats", help="render a --metrics JSON file as readable tables"
+    stats_p = command(
+        "stats", _run_stats, "render a --metrics JSON file as readable tables"
     )
     stats_p.add_argument("metrics_file", type=Path,
                          help="file written by --metrics")
 
-    fuzz_p = sub.add_parser(
-        "fuzz",
-        help="bulk-validate model invariants over random networks "
-             "(property-based fuzzing; exit 1 on violation)",
+    fuzz_p = command(
+        "fuzz", _run_fuzz,
+        "bulk-validate model invariants over random networks "
+        "(property-based fuzzing; exit 1 on violation)",
+        "cache-dir cache-backend",
     )
     fuzz_p.add_argument("--points", type=int, default=2000, metavar="N",
-                        help="analytic points to generate and check "
-                             "(default: 2000)")
+                        help="analytic points to check (default: 2000)")
     fuzz_p.add_argument("--seed", type=int, default=0, metavar="S",
                         help="master seed; point j of scenario s depends "
                              "only on (s, S, j), so any failure replays "
                              "(default: 0)")
     fuzz_p.add_argument("--scenario", action="append", metavar="NAME",
-                        help="restrict to one scenario (repeatable; "
-                             "default: all with an invariant suite)")
-    fuzz_p.add_argument("--budget", type=float, default=None,
-                        metavar="SECONDS",
+                        help="restrict to one scenario (repeatable)")
+    fuzz_p.add_argument("--budget", type=float, default=None, metavar="SEC",
                         help="soft wall-clock limit; stops between chunks")
     fuzz_p.add_argument("--report", type=Path, default=None, metavar="FILE",
                         help="write the campaign report as JSON")
     fuzz_p.add_argument("--corpus", type=Path, default=None, metavar="DIR",
                         help="write shrunken repro-case files here")
     fuzz_p.add_argument("--sim-points", type=int, default=12, metavar="N",
-                        help="sampled simulation cross-checks (default: 12; "
-                             "0 disables)")
+                        help="sampled simulation cross-checks (default: 12)")
     fuzz_p.add_argument("--opt-queries", type=int, default=0, metavar="N",
-                        help="optimizer-vs-grid cross-checks: N fuzzed "
-                             "parameter sets per inverse query "
-                             "(default: 0, disabled)")
+                        help="optimizer-vs-grid cross-checks: N parameter "
+                             "sets per inverse query (default: 0)")
     fuzz_p.add_argument("--no-shrink", action="store_true",
                         help="report raw failing params without shrinking")
-    fuzz_p.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
-                        help="share the sweep result cache for the sampled "
-                             "simulation cross-checks")
-    _add_cache_backend_option(fuzz_p)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="start the long-lived HTTP query/sweep service (repro.serve)",
+    serve_p = command(
+        "serve", _run_serve,
+        "start the long-lived HTTP query/sweep service (repro.serve)",
+        "cache-dir cache-backend",
     )
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=8421, metavar="P",
-                         help="bind port; 0 picks a free one "
-                              "(default: 8421)")
+                         help="bind port; 0 picks a free one (default: 8421)")
     serve_p.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="worker threads for sim points and pool jobs "
+                         help="threads for sim points and pool jobs "
                               "(default: 2)")
-    serve_p.add_argument("--cache-dir", type=Path, default=None,
-                         metavar="DIR",
-                         help="shared content-addressed result cache "
-                              "(recommended: a *.sqlite path)")
-    _add_cache_backend_option(serve_p)
     serve_p.add_argument("--batch-window", type=float, default=0.002,
-                         metavar="SECONDS",
+                         metavar="SEC",
                          help="longest wait for co-arriving misses to merge "
-                              "into one batched kernel solve; closes early "
-                              "when no one else is arriving (default: "
-                              "0.002)")
+                              "into one batched solve (default: 0.002)")
     serve_p.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
 
-    submit_p = sub.add_parser(
-        "submit", help="submit a sweep spec to a server; prints the job id"
-    )
-    submit_p.add_argument("spec", type=Path, help="SweepSpec JSON file")
-    submit_p.add_argument("--seed", type=int, default=None, metavar="S",
-                          help="spec-level seed (derives per-point seeds)")
-    submit_p.add_argument("--warm-start", action="store_true",
-                          help="ask the server to warm-start the solves")
-    submit_p.add_argument("--wait", action="store_true",
-                          help="block until done and print the result")
-    submit_p.add_argument("--out", type=Path, default=None,
-                          help="with --wait: directory for the .csv export")
-    _add_client_options(submit_p)
+    command(
+        "submit", _run_submit,
+        "submit a sweep spec to a server; prints the job id",
+        "seed warm-start wait out url timeout",
+    ).add_argument("spec", type=Path, help="SweepSpec JSON file")
 
-    status_p = sub.add_parser(
-        "status", help="show job status (all jobs when JOB is omitted)"
+    status_p = command(
+        "status", _run_status,
+        "show job status (all jobs when JOB is omitted)", "url timeout",
     )
     status_p.add_argument("job", nargs="?", default=None,
                           help="job id from `submit`")
     status_p.add_argument("--since", type=int, default=0, metavar="N",
                           help="stream progress events from sequence N")
-    _add_client_options(status_p)
 
-    fetch_p = sub.add_parser(
-        "fetch", help="download a finished sweep job's result"
-    )
-    fetch_p.add_argument("job", help="job id from `submit`")
-    fetch_p.add_argument("--wait", action="store_true",
-                         help="poll until the job completes first")
-    fetch_p.add_argument("--out", type=Path, default=None,
-                         help="directory for the .csv export")
-    _add_client_options(fetch_p)
+    command(
+        "fetch", _run_fetch, "download a finished sweep job's result",
+        "wait out url timeout",
+    ).add_argument("job", help="job id from `submit`")
 
-    query_p = sub.add_parser(
-        "query",
-        help="query a scenario point (or inverse query) on a server",
+    query_p = command(
+        "query", _run_query,
+        "query a scenario point (or inverse query) on a server",
+        "subject-to url timeout",
     )
     query_p.add_argument("name", help="scenario name (see scenario --list)")
     query_p.add_argument(
@@ -1053,15 +992,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     query_p.add_argument("--backend", default="analytic",
                          help="backend role (default: analytic)")
-    query_p.add_argument("--subject-to", action="append", metavar="PRED",
-                         help="inverse-query constraint like 'R <= 1000' "
-                              "(repeatable)")
-    _add_client_options(query_p)
 
-    cache_p = sub.add_parser(
-        "cache", help="cache maintenance (migrate between backends)"
-    )
-    cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
+    cache_sub = command(
+        "cache", _run_cache, "cache maintenance (migrate between backends)"
+    ).add_subparsers(dest="cache_command", required=True)
     migrate_p = cache_sub.add_parser(
         "migrate",
         help="copy a cache to another backend with byte-exact verification",
@@ -1070,83 +1004,25 @@ def main(argv: list[str] | None = None) -> int:
                            help="source cache (directory or *.sqlite)")
     migrate_p.add_argument("dst", type=Path,
                            help="destination cache (directory or *.sqlite)")
-    migrate_p.add_argument("--src-backend", default=None,
-                           choices=("sqlite", "files"),
-                           help="source backend when the path is ambiguous")
-    migrate_p.add_argument("--dst-backend", default=None,
-                           choices=("sqlite", "files"),
-                           help="destination backend when the path is "
-                                "ambiguous")
+    for end in ("src", "dst"):
+        migrate_p.add_argument(f"--{end}-backend", default=None,
+                               choices=("sqlite", "files"),
+                               help=f"{end} backend when the path is "
+                                    "ambiguous")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point; returns a process exit code (see the module doc)."""
+    parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "list":
-        for experiment_id in list_experiments():
-            print(experiment_id)
-        return 0
-
-    # Unknown experiment and scenario names are usage errors, not crashes.
     try:
-        if args.command == "run":
-            get_experiment(args.experiment)
-        elif args.command in ("scenario", "optimize", "query") and args.name:
-            from repro.api import get_scenario_class
-            get_scenario_class(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return args.run(args)
+    except _UsageError as exc:
+        if exc.usage:
+            parser.error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "run":
-        ok = _run_one(args.experiment, args)
-        return 0 if ok else 1
-
-    if args.command == "run-all":
-        all_ok = True
-        for experiment_id in list_experiments():
-            ok = _run_one(experiment_id, args)
-            all_ok &= ok
-        print("all shape checks passed" if all_ok
-              else "SOME SHAPE CHECKS FAILED")
-        return 0 if all_ok else 1
-
-    if args.command == "sweep":
-        return _run_sweep_file(args)
-
-    if args.command == "scenario":
-        return _run_scenario(args, parser)
-
-    if args.command == "optimize":
-        return _run_optimize(args, parser)
-
-    if args.command == "stats":
-        return _run_stats(args)
-
-    if args.command == "fuzz":
-        return _run_fuzz(args)
-
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command in ("submit", "status", "fetch", "query"):
-        from repro.serve import ServeError
-
-        handlers = {
-            "submit": lambda: _run_submit(args),
-            "status": lambda: _run_status(args),
-            "fetch": lambda: _run_fetch(args),
-            "query": lambda: _run_query(args, parser),
-        }
-        try:
-            return handlers[args.command]()
-        except (ServeError, TimeoutError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "cache":
-        return _run_cache(args, parser)
-
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,11 +78,7 @@ class BatchObjective:
         if len(set(axis_names)) != len(axis_names):
             raise ValueError(f"duplicate search axes: {axis_names}")
         for name in axis_names:
-            if cls.find_param(name) is None:
-                raise ValueError(
-                    f"unknown parameter {name!r} for scenario {cls.name!r}; "
-                    f"known: {', '.join(cls.param_names())}"
-                )
+            cls.param_entry(name)
             if not cls.backend_accepts(self.backend, name):
                 raise ValueError(
                     f"parameter {name!r} is not used by the {role!r} backend "

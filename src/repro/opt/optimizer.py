@@ -62,13 +62,7 @@ def build_axes(
                 )
             axes.append(bounds)
             continue
-        entry = scenario_cls.find_param(name)
-        if entry is None:
-            raise ValueError(
-                f"unknown parameter {name!r} for scenario "
-                f"{scenario_cls.name!r}; known: "
-                f"{', '.join(scenario_cls.param_names())}"
-            )
+        entry = scenario_cls.param_entry(name)
         try:
             lo, hi = bounds  # type: ignore[misc]
             lo, hi = float(lo), float(hi)

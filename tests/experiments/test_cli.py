@@ -6,6 +6,10 @@ import pytest
 
 from repro.cli import main
 
+# Nothing listens here: a client verb that got as far as connecting
+# would exit 1 with "cannot reach", not 2.
+UNREACHABLE = "http://127.0.0.1:9"
+
 
 def strip_timing(text, needle="completed in"):
     """Drop the wall-clock report lines that vary run to run."""
@@ -215,6 +219,26 @@ class TestScenarioCommand:
                          *extra]) == 2
             assert capsys.readouterr().err.startswith(message), extra
 
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "alltoall", "minimize=R", "over.W=100:2000", "P=4",
+          "St=40", "So=200", "Lxyz=3"], "error: unknown parameter 'Lxyz'"),
+        (["optimize", "alltoall", "minimize=R", "over.W=1:x", "P=4",
+          "St=40", "So=200"], "error: could not convert string to float"),
+        (["query", "alltoall", "P=4", "Lxyz=3", "--url", UNREACHABLE],
+         "error: unknown parameter 'Lxyz'"),
+        (["query", "alltoall", "P=4", "St=40", "So=200", "W=256",
+          "streams=false", "--url", UNREACHABLE],
+         "error: parameter 'streams'=False is no longer supported"),
+    ], ids=["optimize-unknown", "optimize-bad-bound", "query-unknown",
+            "query-retired"])
+    def test_token_errors_of_optimize_and_query(self, argv, message, capsys):
+        # The same token grammar as `scenario`: one `error:` line and
+        # exit 2, before any solve or connection.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
 
 class TestSweepCommand:
     def _spec(self, tmp_path, **overrides):
@@ -272,3 +296,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec}: unknown evaluator 'bogus'")
         assert "alltoall-model" in err
+
+    @pytest.mark.parametrize("verb", [["sweep"], ["submit", "--url",
+                                                  UNREACHABLE]])
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        (json.dumps({"name": "x", "evaluator": "alltoall-model",
+                     "bogus": 1}), "unknown spec keys: ['bogus']"),
+    ], ids=["missing", "not-json", "unknown-key"])
+    def test_bad_spec_file_errors(self, tmp_path, capsys, verb, text,
+                                  message):
+        spec = tmp_path / "spec.json"
+        if text is not None:
+            spec.write_text(text)
+        assert main([verb[0], str(spec), *verb[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: ")
+        assert message in err
+        assert err.count("\n") == 1

@@ -1,9 +1,9 @@
-"""CLI-level tests of the serve verbs that don't need a live server.
+"""CLI-level tests of the serve verbs.
 
-The full serve/submit/status/fetch/query loop over a real socket is the
-CI ``serve`` job's e2e script (``examples/sweep_service.py``); here we
-cover the pieces that run in-process: ``cache migrate``, the serve
-counters in ``stats``, and parser wiring of the new flags.
+``cache migrate``, the serve counters in ``stats`` and the parser
+wiring run in-process; the client verbs (``submit`` / ``status`` /
+``fetch`` / ``query``) run ``main`` against a live server on a free
+port.  The library-level loop is ``examples/sweep_service.py``.
 """
 
 from __future__ import annotations
@@ -105,3 +105,44 @@ class TestParserWiring:
             main(["sweep", str(tmp_path / "spec.json"),
                   "--cache-backend", "redis"])
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestClientVerbs:
+    def test_submit_status_fetch_query(self, http_service, tmp_path,
+                                       capsys):
+        client, _ = http_service
+        url = ["--url", client.base_url]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "cli-e2e", "evaluator": "alltoall-model",
+            "base": {"P": 8, "St": 40.0, "So": 200.0, "C2": 0.0},
+            "axes": [{"type": "grid", "name": "W", "values": [2.0, 64.0]}],
+        }))
+
+        assert main(["submit", str(spec), "--wait", *url]) == 0
+        job, *table = capsys.readouterr().out.splitlines()
+        assert job and "cli-e2e" in "\n".join(table)
+        assert "2 point(s)" in "\n".join(table)
+
+        assert main(["status", job, *url]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{job}: done")
+        assert "  sweep.start" in out and "  sweep.finish" in out
+
+        assert main(["fetch", job, *url]) == 0
+        assert capsys.readouterr().out.splitlines() == table
+
+        point = ["query", "alltoall", "P=8", "St=40", "So=200", "W=64", *url]
+        assert main(point) == 0
+        assert "[cached]" not in capsys.readouterr().out
+        assert main(point) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].endswith("  [cached]")
+        assert "  R  " in out
+
+        inverse = ["query", "alltoall", "maximize=W", "over.W=1:20000",
+                   "P=32", "St=10", "So=131", "C2=1", *url]
+        assert main([*inverse, "--subject-to", "R <= 2000"]) == 0
+        assert "subject to: R <= 2000" in capsys.readouterr().out
+        assert main([*inverse, "--subject-to", "R <= 0.001"]) == 1
+        assert "no feasible point" in capsys.readouterr().out
